@@ -144,7 +144,7 @@ pub fn exec_report_json(r: &ExecReport) -> String {
         r.wheel_high_water,
         r.wheel_pushes,
         r.declined,
-        r.net.as_ref().map_or_else(|| "null".to_string(), net_report_json),
+        r.net.as_deref().map_or_else(|| "null".to_string(), net_report_json),
     )
 }
 

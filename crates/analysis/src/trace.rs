@@ -241,7 +241,7 @@ pub fn verify_replay(replayed: &Replay, live: &ExecReport) -> Result<(), String>
     eq("mesh_msgs", replayed.mesh_msgs, live.mesh_msgs)?;
     eq("class_fires", replayed.class_fires, live.class_fires)?;
     eq("declined", replayed.declined, live.declined)?;
-    eq("net", &replayed.net, &live.net)?;
+    eq("net", &replayed.net.as_ref(), &live.net.as_deref())?;
     Ok(())
 }
 

@@ -394,7 +394,7 @@ pub fn net_bench_rows(ideal: &Evaluation, contended: &Evaluation) -> Vec<NetBenc
                     .samples
                     .iter()
                     .filter(|s| s.config == ci)
-                    .filter_map(|s| s.report.net.as_ref()),
+                    .filter_map(|s| s.report.net.as_deref()),
             );
             NetBenchRow {
                 name: fc.name,

@@ -9,6 +9,7 @@
 //! Tables 27/28.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use javaflow_analysis::{pearson, Summary};
 use javaflow_bytecode::{verify, Cfg};
@@ -110,8 +111,11 @@ pub struct Sample {
 /// The complete evaluation data set.
 #[derive(Debug)]
 pub struct Evaluation {
-    /// The population.
-    pub records: Vec<MethodRecord>,
+    /// The population, shared with the [`PreparedPopulation`] a resident
+    /// sweep came from rather than deep-copied per sweep.
+    ///
+    /// [`PreparedPopulation`]: crate::PreparedPopulation
+    pub records: Arc<[MethodRecord]>,
     /// The machine configurations, index-aligned with sample/config ids.
     pub configs: Vec<FabricConfig>,
     /// Per-record static measurements.
@@ -148,13 +152,14 @@ impl Evaluation {
     /// cannot depend on which path produced it.
     #[must_use]
     pub fn assemble(
-        records: Vec<MethodRecord>,
+        records: impl Into<Arc<[MethodRecord]>>,
         configs: Vec<FabricConfig>,
         results: Vec<(MethodStatics, Vec<Sample>)>,
         sweep: SweepStats,
     ) -> Evaluation {
+        let records = records.into();
         let mut statics = Vec::with_capacity(records.len());
-        let mut samples = Vec::new();
+        let mut samples = Vec::with_capacity(results.iter().map(|(_, s)| s.len()).sum());
         for (st, mut record_samples) in results {
             statics.push(st);
             samples.append(&mut record_samples);
@@ -696,7 +701,7 @@ mod tests {
     #[test]
     fn no_back_merges_anywhere() {
         let e = small_eval();
-        for (s, r) in e.statics.iter().zip(&e.records) {
+        for (s, r) in e.statics.iter().zip(e.records.iter()) {
             assert_eq!(s.resolve.back_merges, 0, "{} has back merges", r.name);
         }
     }

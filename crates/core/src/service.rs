@@ -49,7 +49,7 @@ pub struct PreparedPopulation {
     /// Synthetic-population size this cache was built for. Sweeps must
     /// request the same size — the records are part of the cache key.
     pub synthetic_count: usize,
-    records: Vec<MethodRecord>,
+    records: Arc<[MethodRecord]>,
     preps: Vec<Option<PreparedParts>>,
 }
 
@@ -67,7 +67,7 @@ impl PreparedPopulation {
                 compiled: p.compiled,
             })
         });
-        PreparedPopulation { synthetic_count, records, preps }
+        PreparedPopulation { synthetic_count, records: records.into(), preps }
     }
 
     /// The cached population, index-aligned with sample record ids.
@@ -204,7 +204,7 @@ impl PreparedPopulation {
         }
         let configs: Vec<FabricConfig> =
             cfg.configs.iter().map(|c| c.clone().with_net(cfg.net)).collect();
-        Some(Evaluation::assemble(self.records.clone(), configs, results, stats))
+        Some(Evaluation::assemble(Arc::clone(&self.records), configs, results, stats))
     }
 }
 

@@ -287,7 +287,7 @@ pub fn chapter7_tables(eval: &Evaluation, table: u32) -> String {
                         eval.samples
                             .iter()
                             .filter(|s| s.config == ci)
-                            .filter_map(|s| s.report.net.as_ref()),
+                            .filter_map(|s| s.report.net.as_deref()),
                     );
                     let _ = writeln!(
                         out,

@@ -398,8 +398,9 @@ pub struct ExecReport {
     /// folds the bits into `warn_*` counters.
     pub declined: u8,
     /// Link-level interconnect statistics ([`NetKind::Contended`] runs
-    /// only; the ideal model collects none).
-    pub net: Option<NetReport>,
+    /// only; the ideal model collects none). Boxed so the common ideal
+    /// report stays small: a resident sweep holds thousands of them.
+    pub net: Option<Box<NetReport>>,
 }
 
 /// Execution parameters.
@@ -1334,7 +1335,7 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
             wheel_high_water: self.arena.queue.high_water() as u64,
             wheel_pushes: self.arena.queue.pushes(),
             declined,
-            net: net_report,
+            net: net_report.map(Box::new),
         }
     }
 

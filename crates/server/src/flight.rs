@@ -122,8 +122,8 @@ impl FlightRecorder {
                         dur: s.total_us().max(1),
                         name: format!("{label}{gone}"),
                         args: format!(
-                            "{{\"id\":{},\"outcome\":{},\"coalesced\":{},\"bytes\":{},\"batches\":{}}}",
-                            s.id, s.outcome, s.coalesced, s.bytes_streamed, s.batches
+                            "{{\"id\":{},\"outcome\":{},\"coalesced\":{},\"cached\":{},\"bytes\":{},\"batches\":{}}}",
+                            s.id, s.outcome, s.coalesced, s.cached, s.bytes_streamed, s.batches
                         ),
                     });
                     let mut t = s.start_us;

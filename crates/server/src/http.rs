@@ -6,8 +6,8 @@
 //! * `GET /metrics` — Prometheus text exposition: the server counters
 //!   and gauges, every latency/phase histogram with cumulative `le`
 //!   buckets, the per-[`SweepKey`](crate::server) sweep counters, the
-//!   flight-recorder gauges, and the simulator's Table 30 registry under
-//!   the `javaflow_sim_` prefix.
+//!   result-cache counters and gauges, the flight-recorder gauges, and
+//!   the simulator's Table 30 registry under the `javaflow_sim_` prefix.
 //! * `GET /healthz` — `200 ok` while accepting, `503 draining` once a
 //!   drain has begun.
 //! * `GET /varz` — the framed `metrics` response body as JSON, for
@@ -126,7 +126,8 @@ fn respond(stream: &mut TcpStream, code: u16, content_type: &str, body: &str) {
 }
 
 /// Renders the whole Prometheus page: server half, per-key sweep
-/// counters, flight-recorder gauges, then the simulation registry.
+/// counters, result cache, flight-recorder gauges, then the simulation
+/// registry.
 pub(crate) fn render_metrics(shared: &Arc<Shared>) -> String {
     let mut out = String::with_capacity(8192);
     let queue_depth = shared.queue_depth();
@@ -151,6 +152,7 @@ pub(crate) fn render_metrics(shared: &Arc<Shared>) -> String {
             }
         }
     }
+    shared.results.lock().expect("results lock").render_prometheus(&mut out);
     {
         let flight = shared.flight.lock().expect("flight lock");
         out.push_str("# TYPE javaflow_server_flight_entries gauge\n");

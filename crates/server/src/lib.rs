@@ -17,6 +17,9 @@
 //! * **Batching / coalescing** — compatible concurrent sweeps (same
 //!   population, cycle budget, net model, and fast-forward setting) share
 //!   one simulation; every subscriber receives the identical frames.
+//! * **Result cache** — a key swept twice is kept (bounded, LRU) in
+//!   [`cache::ResultCache`], so later requests for it stream without
+//!   simulating.
 //! * **Backpressure** — the admission queue is bounded; saturation is an
 //!   immediate `429`, never an unbounded backlog.
 //! * **Deadlines** — a per-request deadline cancels its sweep at the next
@@ -39,6 +42,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod cache;
 pub mod flight;
 mod http;
 pub mod json;

@@ -29,7 +29,8 @@ pub struct ServerMetrics {
     pub cancelled_deadline: u64,
     /// Subscribers dropped mid-stream by a write failure.
     pub disconnects: u64,
-    /// Sweeps actually executed (≤ `accepted` when coalescing wins).
+    /// Sweeps actually executed (≤ `accepted` when coalescing or the
+    /// result cache wins; a cache hit is not a sweep).
     pub sweeps: u64,
     /// Admitted requests that shared an already-queued sweep.
     pub coalesced_requests: u64,
@@ -37,7 +38,9 @@ pub struct ServerMetrics {
     pub batches_streamed: u64,
     /// Result-frame bytes written across all subscribers.
     pub bytes_streamed: u64,
-    /// End-to-end sweep latency (admission → done), microseconds.
+    /// End-to-end sweep latency (admission → `done` frame ready),
+    /// microseconds; recorded for every request that reaches `done`,
+    /// before its frame is written.
     pub latency_us: Histogram,
     /// Time spent queued before the sweeper picked the job up, microseconds.
     pub queue_wait_us: Histogram,

@@ -13,7 +13,7 @@
 //! `load_gen` exercises exactly that equivalence via
 //! [`expected_batch_payloads`].
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 use javaflow_analysis::report_json::{exec_report_json, json_escape};
 use javaflow_core::{EvalConfig, Evaluation, MethodRecord, MethodStatics, Sample};
@@ -87,9 +87,48 @@ pub fn read_frame_timed(
 /// Panics if `payload` exceeds `u32::MAX` bytes (no rendered response
 /// approaches this).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len()).expect("frame fits in u32");
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    write_frame_parts(w, &[payload])
+}
+
+/// Writes one length-prefixed frame whose payload is the concatenation
+/// of `parts`, without concatenating them first.
+///
+/// The length prefix and every part go out in vectored writes, so a frame
+/// leaves in one `writev` unless the socket takes it piecemeal. One write
+/// matters on TCP: a prefix sent on its own is a small unacknowledged
+/// segment, and Nagle's algorithm then holds the payload back until the
+/// peer's delayed ACK arrives, tens of milliseconds later. Partial writes
+/// resume where the socket stopped.
+///
+/// # Panics
+///
+/// Panics if the payload exceeds `u32::MAX` bytes.
+pub fn write_frame_parts(w: &mut impl Write, parts: &[&[u8]]) -> std::io::Result<()> {
+    let total: usize = parts.iter().map(|p| p.len()).sum();
+    let len = u32::try_from(total).expect("frame fits in u32").to_be_bytes();
+    let mut bufs: Vec<&[u8]> = Vec::with_capacity(parts.len() + 1);
+    bufs.push(&len);
+    bufs.extend(parts.iter().copied().filter(|p| !p.is_empty()));
+    // `bufs[first][offset..]` is the first unwritten byte.
+    let (mut first, mut offset) = (0usize, 0usize);
+    while first < bufs.len() {
+        let slices: Vec<IoSlice<'_>> = std::iter::once(&bufs[first][offset..])
+            .chain(bufs[first + 1..].iter().copied())
+            .map(IoSlice::new)
+            .collect();
+        let mut n = match w.write_vectored(&slices) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        while first < bufs.len() && n >= bufs[first].len() - offset {
+            n -= bufs[first].len() - offset;
+            first += 1;
+            offset = 0;
+        }
+        offset += n;
+    }
     w.flush()
 }
 
@@ -321,6 +360,29 @@ pub fn batch_payload(
 /// pairs in stream order.
 #[must_use]
 pub fn expected_batch_payloads(eval: &Evaluation, batch_records: usize) -> Vec<(usize, String)> {
+    let mut out = Vec::new();
+    for_each_batch_payload(eval, batch_records, |lo, payload| {
+        out.push((lo, payload));
+        true
+    });
+    out
+}
+
+/// Renders a finished [`Evaluation`]'s batch payloads one at a time, in
+/// stream order, handing each to `on_batch(first_record, payload)`;
+/// returning `false` stops early. Returns whether every batch was
+/// handed over. The server streams cached sweeps through this, and
+/// [`expected_batch_payloads`] collects it, so a cached response cannot
+/// drift from the expectation.
+///
+/// # Panics
+///
+/// Panics if `batch_records` is 0.
+pub fn for_each_batch_payload(
+    eval: &Evaluation,
+    batch_records: usize,
+    mut on_batch: impl FnMut(usize, String) -> bool,
+) -> bool {
     assert!(batch_records > 0);
     // `Evaluation::assemble` appends samples record by record, so each
     // record's samples are one contiguous, ordered run.
@@ -335,26 +397,40 @@ pub fn expected_batch_payloads(eval: &Evaluation, batch_records: usize) -> Vec<(
         by_record[ri] = &eval.samples[i..j];
         i = j;
     }
-    let mut out = Vec::new();
     let mut lo = 0;
     while lo < eval.records.len() {
         let hi = (lo + batch_records).min(eval.records.len());
         let payload = batch_records_json(
             (lo..hi).map(|ri| (ri, eval.records[ri].name.as_str(), by_record[ri])),
         );
-        out.push((lo, payload));
+        if !on_batch(lo, payload) {
+            return false;
+        }
         lo = hi;
     }
-    out
+    true
 }
 
 /// Builds one full batch frame around a shared records payload.
 #[must_use]
 pub fn batch_frame(id: u64, seq: usize, first_record: usize, records_payload: &str) -> String {
+    format!("{}{records_payload}{BATCH_FRAME_TAIL}", batch_frame_head(id, seq, first_record))
+}
+
+/// The per-subscriber part of a batch frame, before the shared records
+/// payload. A frame is this head, the payload, then
+/// [`BATCH_FRAME_TAIL`]; the server writes the three as one vectored
+/// frame, so fanning a batch out to many subscribers never copies its
+/// payload.
+#[must_use]
+pub fn batch_frame_head(id: u64, seq: usize, first_record: usize) -> String {
     format!(
-        "{{\"type\": \"batch\", \"id\": {id}, \"seq\": {seq}, \"first_record\": {first_record}, \"records\": {records_payload}}}"
+        "{{\"type\": \"batch\", \"id\": {id}, \"seq\": {seq}, \"first_record\": {first_record}, \"records\": "
     )
 }
+
+/// What follows the records payload in a batch frame.
+pub const BATCH_FRAME_TAIL: &str = "}";
 
 /// Builds the final `done` frame: totals plus the requested rendered
 /// tables. `coalesced` reports whether this request shared its sweep.

@@ -5,6 +5,8 @@
 //! saturation is a `429` response, not an unbounded backlog — and
 //! compatible queued requests (same [`SweepKey`]) are coalesced into a
 //! single shared sweep whose batch frames fan out to every subscriber.
+//! A group whose key is in the bounded [`ResultCache`] streams from the
+//! stored evaluation instead, through the same frame path.
 //! Shutdown is a drain: no new sweeps are admitted (`503`), everything
 //! already queued streams to completion, then the threads exit.
 //!
@@ -26,14 +28,16 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use javaflow_analysis::report_json::json_escape;
-use javaflow_core::{EvalConfig, PreparedPopulation};
+use javaflow_core::{EvalConfig, Evaluation, PreparedPopulation};
 use javaflow_fabric::{MetricsRegistry, NetKind, WARN_COUNTERS};
 
+use crate::cache::{ResultCache, MAX_ENTRIES, MAX_SAMPLES};
 use crate::flight::{FlightEntry, FlightRecorder};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
-    batch_frame, batch_payload, done_frame, error_frame, parse_request, read_frame_timed,
-    write_frame, FrameError, Request, SweepRequest, MAX_REQUEST_FRAME,
+    batch_frame_head, batch_payload, done_frame, error_frame, for_each_batch_payload,
+    parse_request, read_frame_timed, write_frame_parts, FrameError, Request, SweepRequest,
+    BATCH_FRAME_TAIL, MAX_REQUEST_FRAME,
 };
 use crate::span::{
     RequestSpan, OUTCOME_CLIENT_GONE, PHASE_EXECUTE, PHASE_PARSE, PHASE_PREPARE, PHASE_QUEUE,
@@ -195,6 +199,13 @@ impl Write for AnyStream {
         }
     }
 
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            AnyStream::Tcp(s) => s.write_vectored(bufs),
+            AnyStream::Unix(s) => s.write_vectored(bufs),
+        }
+    }
+
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             AnyStream::Tcp(s) => s.flush(),
@@ -222,11 +233,17 @@ impl ConnWriter {
 
     /// Writes one frame; `false` once the connection is dead.
     fn send(&self, payload: &str) -> bool {
+        self.send_parts(&[payload.as_bytes()])
+    }
+
+    /// Writes one frame whose payload is the concatenation of `parts`
+    /// (see [`write_frame_parts`]); `false` once the connection is dead.
+    fn send_parts(&self, parts: &[&[u8]]) -> bool {
         if self.closed.load(Ordering::Relaxed) {
             return false;
         }
         let mut s = self.stream.lock().expect("writer lock");
-        match write_frame(&mut *s, payload.as_bytes()) {
+        match write_frame_parts(&mut *s, parts) {
             Ok(()) => true,
             Err(_) => {
                 self.closed.store(true, Ordering::Relaxed);
@@ -266,6 +283,8 @@ pub(crate) struct Shared {
     last_error_dump_us: AtomicU64,
     /// Prepared populations keyed by synthetic size.
     prepared: Mutex<HashMap<usize, Arc<PreparedPopulation>>>,
+    /// Finished sweeps kept for repeat keys.
+    pub(crate) results: Mutex<ResultCache<SweepKey>>,
     /// Live connections, shut down at the end of a drain to unblock
     /// parked reader threads. Readers deregister themselves on exit.
     conns: Mutex<Vec<Arc<ConnWriter>>>,
@@ -328,10 +347,11 @@ pub(crate) fn metrics_frame_json(shared: &Shared, id: u64) -> String {
     let queue_depth = shared.queue_depth();
     let in_flight = shared.in_flight.load(Ordering::SeqCst);
     let server = shared.metrics.lock().expect("metrics lock").render_json(queue_depth, in_flight);
+    let results = shared.results.lock().expect("results lock").render_json();
     let reg = shared.registry.lock().expect("registry lock");
     format!(
         "{{\"type\": \"metrics\", \"id\": {id}, \"server\": {server}, \
-         \"table30\": \"{}\", \"metrics\": {}}}",
+         \"result_cache\": {results}, \"table30\": \"{}\", \"metrics\": {}}}",
         json_escape(&reg.render()),
         reg.to_json(),
     )
@@ -414,6 +434,7 @@ impl Server {
             epoch: Instant::now(),
             last_error_dump_us: AtomicU64::new(0),
             prepared: Mutex::new(HashMap::new()),
+            results: Mutex::new(ResultCache::new(MAX_ENTRIES, MAX_SAMPLES)),
             conns: Mutex::new(Vec::new()),
             readers: Mutex::new(Vec::new()),
         });
@@ -421,7 +442,12 @@ impl Server {
         {
             let shared = Arc::clone(&shared);
             handles.push(std::thread::spawn(move || {
-                accept_loop(&shared, move || listener.accept().map(|(s, _)| AnyStream::Tcp(s)));
+                accept_loop(&shared, move || {
+                    let (s, _) = listener.accept()?;
+                    // Frames are written whole; Nagle could only delay them.
+                    let _ = s.set_nodelay(true);
+                    Ok(AnyStream::Tcp(s))
+                });
             }));
         }
         if let Some(l) = uds {
@@ -553,11 +579,6 @@ fn reader_loop(shared: &Arc<Shared>, reader: &mut AnyStream, writer: &Arc<ConnWr
             }
             Err(FrameError::Oversized(n)) => {
                 shared.metrics.lock().expect("metrics lock").bad_requests += 1;
-                writer.send(&error_frame(
-                    0,
-                    413,
-                    &format!("frame of {n} bytes exceeds the {} byte limit", shared.cfg.max_frame),
-                ));
                 // The payload was never read, so the span has no
                 // measured phases — record the failure itself.
                 let span = RequestSpan {
@@ -565,7 +586,9 @@ fn reader_loop(shared: &Arc<Shared>, reader: &mut AnyStream, writer: &Arc<ConnWr
                     outcome: 413,
                     ..RequestSpan::default()
                 };
-                shared.finish_span(&span);
+                let message =
+                    format!("frame of {n} bytes exceeds the {} byte limit", shared.cfg.max_frame);
+                respond(shared, writer, &span, &error_frame(0, 413, &message));
                 break;
             }
             Err(FrameError::Truncated | FrameError::Io(_)) => break,
@@ -574,6 +597,14 @@ fn reader_loop(shared: &Arc<Shared>, reader: &mut AnyStream, writer: &Arc<ConnWr
             break;
         }
     }
+}
+
+/// Answers a request with one frame and ends its span. The span is
+/// recorded first, so a client that has read the response finds the
+/// request in the metrics and the flight ring.
+fn respond(shared: &Shared, writer: &ConnWriter, span: &RequestSpan, frame: &str) {
+    shared.finish_span(span);
+    writer.send(frame);
 }
 
 fn handle_request(
@@ -588,33 +619,30 @@ fn handle_request(
     match parsed {
         Err(e) => {
             shared.metrics.lock().expect("metrics lock").bad_requests += 1;
-            writer.send(&error_frame(e.id, e.code, &e.message));
             span.id = e.id;
             span.outcome = e.code as u16;
-            shared.finish_span(&span);
+            respond(shared, writer, &span, &error_frame(e.id, e.code, &e.message));
         }
         Ok(Request::Ping { id }) => {
-            writer.send(&format!("{{\"type\": \"pong\", \"id\": {id}}}"));
             span.id = id;
             span.kind = b'p';
             span.outcome = 200;
-            shared.finish_span(&span);
+            respond(shared, writer, &span, &format!("{{\"type\": \"pong\", \"id\": {id}}}"));
         }
         Ok(Request::Shutdown { id }) => {
-            writer.send(&format!("{{\"type\": \"shutdown_ack\", \"id\": {id}}}"));
-            shared.request_shutdown();
             span.id = id;
             span.kind = b'x';
             span.outcome = 200;
-            shared.finish_span(&span);
+            let ack = format!("{{\"type\": \"shutdown_ack\", \"id\": {id}}}");
+            respond(shared, writer, &span, &ack);
+            shared.request_shutdown();
         }
         Ok(Request::Metrics { id }) => {
             let frame = metrics_frame_json(shared, id);
-            writer.send(&frame);
             span.id = id;
             span.kind = b'm';
             span.outcome = 200;
-            shared.finish_span(&span);
+            respond(shared, writer, &span, &frame);
         }
         Ok(Request::Sweep(req)) => {
             span.id = req.id;
@@ -634,13 +662,9 @@ fn handle_request(
 fn admit(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, req: SweepRequest, mut span: RequestSpan) {
     if req.synthetic > shared.cfg.synthetic_cap {
         shared.metrics.lock().expect("metrics lock").bad_requests += 1;
-        writer.send(&error_frame(
-            req.id,
-            400,
-            &format!("`synthetic` exceeds the server cap of {}", shared.cfg.synthetic_cap),
-        ));
         span.outcome = 400;
-        shared.finish_span(&span);
+        let message = format!("`synthetic` exceeds the server cap of {}", shared.cfg.synthetic_cap);
+        respond(shared, writer, &span, &error_frame(req.id, 400, &message));
         return;
     }
     let id = req.id;
@@ -649,17 +673,15 @@ fn admit(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, req: SweepRequest, mut 
         if shared.shutdown.load(Ordering::SeqCst) {
             drop(q);
             shared.metrics.lock().expect("metrics lock").rejected_drain += 1;
-            writer.send(&error_frame(id, 503, "server is draining"));
             span.outcome = 503;
-            shared.finish_span(&span);
+            respond(shared, writer, &span, &error_frame(id, 503, "server is draining"));
             return;
         }
         if q.len() >= shared.cfg.queue_cap {
             drop(q);
             shared.metrics.lock().expect("metrics lock").rejected_busy += 1;
-            writer.send(&error_frame(id, 429, "admission queue is full"));
             span.outcome = 429;
-            shared.finish_span(&span);
+            respond(shared, writer, &span, &error_frame(id, 429, "admission queue is full"));
             return;
         }
         let now = Instant::now();
@@ -727,12 +749,16 @@ struct Sub {
     alive: bool,
 }
 
+/// Serves one coalesced group: from the result cache when its key is
+/// stored there, otherwise by sweeping. Both paths stream through
+/// [`stream_batch`] and finish through [`finish_group`], so a cached
+/// response has the same frames, deadline checks, and disconnect
+/// handling as a swept one.
 fn run_group(shared: &Arc<Shared>, mut group: Vec<Job>) {
     let coalesced = group.len() > 1;
     {
         let picked_up = Instant::now();
         let mut m = shared.metrics.lock().expect("metrics lock");
-        m.sweeps += 1;
         if coalesced {
             m.coalesced_requests += group.len() as u64 - 1;
         }
@@ -747,10 +773,10 @@ fn run_group(shared: &Arc<Shared>, mut group: Vec<Job>) {
     for job in group {
         if job.deadline.is_some_and(|d| Instant::now() >= d) {
             shared.metrics.lock().expect("metrics lock").cancelled_deadline += 1;
-            job.writer.send(&error_frame(job.id, 504, "deadline expired before the sweep started"));
             let mut span = job.span;
             span.outcome = 504;
-            shared.finish_span(&span);
+            let frame = error_frame(job.id, 504, "deadline expired before the sweep started");
+            respond(shared, &job.writer, &span, &frame);
         } else {
             subs.push(Sub { job, seq: 0, alive: true });
         }
@@ -759,6 +785,32 @@ fn run_group(shared: &Arc<Shared>, mut group: Vec<Job>) {
         return;
     }
     let key = subs[0].job.key.clone();
+    let cached = shared.results.lock().expect("results lock").get(&key);
+    let eval = if let Some(eval) = cached {
+        for sub in &mut subs {
+            sub.job.span.cached = true;
+        }
+        let streamed = for_each_batch_payload(&eval, shared.cfg.batch_records, |first, payload| {
+            stream_batch(shared, &mut subs, first, &payload)
+        });
+        if !streamed {
+            return;
+        }
+        eval
+    } else {
+        let Some(eval) = sweep(shared, &key, &mut subs) else { return };
+        eval
+    };
+    finish_group(shared, &mut subs, &eval, coalesced);
+}
+
+/// Prepares (or fetches) the population and sweeps it for `key`,
+/// streaming every batch to `subs` as it completes. A finished sweep is
+/// folded into the simulation registry, counted against its key, and
+/// offered to the result cache; `None` means every subscriber left and
+/// the sweep was cancelled.
+fn sweep(shared: &Arc<Shared>, key: &SweepKey, subs: &mut [Sub]) -> Option<Arc<Evaluation>> {
+    shared.metrics.lock().expect("metrics lock").sweeps += 1;
     let prepare_started = Instant::now();
     let pop = {
         let mut cache = shared.prepared.lock().expect("prepared lock");
@@ -767,7 +819,7 @@ fn run_group(shared: &Arc<Shared>, mut group: Vec<Job>) {
         }))
     };
     let prepare_dur = prepare_started.elapsed();
-    for sub in &mut subs {
+    for sub in subs.iter_mut() {
         sub.job.span.add_phase(PHASE_PREPARE, prepare_dur);
     }
     let threads = subs.iter().filter_map(|s| s.job.threads).max().unwrap_or(shared.cfg.threads);
@@ -784,49 +836,20 @@ fn run_group(shared: &Arc<Shared>, mut group: Vec<Job>) {
     let mut exec_mark = Instant::now();
     let eval = pop.evaluate_batched(&cfg, shared.cfg.batch_records, |first, results| {
         let exec_dur = exec_mark.elapsed();
-        let payload = batch_payload(records, first, results);
-        let mut streamed = 0u64;
-        let mut any_alive = false;
         for sub in subs.iter_mut().filter(|s| s.alive) {
             sub.job.span.add_phase(PHASE_EXECUTE, exec_dur);
-            if sub.job.deadline.is_some_and(|d| Instant::now() >= d) {
-                sub.alive = false;
-                shared.metrics.lock().expect("metrics lock").cancelled_deadline += 1;
-                sub.job.writer.send(&error_frame(sub.job.id, 504, "deadline exceeded mid-sweep"));
-                let mut span = sub.job.span;
-                span.outcome = 504;
-                shared.finish_span(&span);
-                continue;
-            }
-            let frame = batch_frame(sub.job.id, sub.seq, first, &payload);
-            let write_started = Instant::now();
-            if sub.job.writer.send(&frame) {
-                sub.job.span.add_phase(PHASE_STREAM, write_started.elapsed());
-                sub.job.span.bytes_streamed += frame.len() as u64;
-                sub.job.span.batches += 1;
-                sub.seq += 1;
-                streamed += 1;
-                any_alive = true;
-            } else {
-                sub.alive = false;
-                shared.metrics.lock().expect("metrics lock").disconnects += 1;
-                let mut span = sub.job.span;
-                span.outcome = OUTCOME_CLIENT_GONE;
-                shared.finish_span(&span);
-            }
         }
-        shared.metrics.lock().expect("metrics lock").batches_streamed += streamed;
+        let any_alive = stream_batch(shared, subs, first, &batch_payload(records, first, results));
         exec_mark = Instant::now();
         // No live subscribers left → cancel the sweep at this boundary.
         any_alive
-    });
-    let Some(eval) = eval else { return };
+    })?;
     // Fold the sweep's simulation metrics in (and count it against its
     // key) before the done frames go out, so a client that saw `done`
     // also sees this sweep on the metrics page.
     let sweep_metrics = eval.metrics();
     shared.registry.lock().expect("registry lock").merge(&sweep_metrics);
-    *shared.sweeps_by_key.lock().expect("sweeps_by_key lock").entry(key).or_insert(0) += 1;
+    *shared.sweeps_by_key.lock().expect("sweeps_by_key lock").entry(key.clone()).or_insert(0) += 1;
     if shared.cfg.observability {
         let at_us = shared.now_us();
         let mut flight = shared.flight.lock().expect("flight lock");
@@ -837,28 +860,96 @@ fn run_group(shared: &Arc<Shared>, mut group: Vec<Job>) {
             }
         }
     }
+    let eval = Arc::new(eval);
+    shared.results.lock().expect("results lock").offer(key.clone(), &eval);
+    Some(eval)
+}
+
+/// Fans one batch's records payload out to every live subscriber,
+/// first retiring any whose deadline has passed (`504`). Each frame is
+/// written as `[head, payload, tail]`, so the payload is never copied
+/// per subscriber. Returns whether any subscriber is still live.
+fn stream_batch(shared: &Shared, subs: &mut [Sub], first: usize, payload: &str) -> bool {
+    let mut streamed = 0u64;
+    let mut any_alive = false;
+    for sub in subs.iter_mut().filter(|s| s.alive) {
+        if sub.job.deadline.is_some_and(|d| Instant::now() >= d) {
+            sub.alive = false;
+            shared.metrics.lock().expect("metrics lock").cancelled_deadline += 1;
+            let mut span = sub.job.span;
+            span.outcome = 504;
+            let frame = error_frame(sub.job.id, 504, "deadline exceeded mid-sweep");
+            respond(shared, &sub.job.writer, &span, &frame);
+            continue;
+        }
+        let head = batch_frame_head(sub.job.id, sub.seq, first);
+        let frame = [head.as_bytes(), payload.as_bytes(), BATCH_FRAME_TAIL.as_bytes()];
+        let write_started = Instant::now();
+        if sub.job.writer.send_parts(&frame) {
+            sub.job.span.add_phase(PHASE_STREAM, write_started.elapsed());
+            sub.job.span.bytes_streamed += frame.iter().map(|p| p.len() as u64).sum::<u64>();
+            sub.job.span.batches += 1;
+            sub.seq += 1;
+            streamed += 1;
+            any_alive = true;
+        } else {
+            sub.alive = false;
+            shared.metrics.lock().expect("metrics lock").disconnects += 1;
+            let mut span = sub.job.span;
+            span.outcome = OUTCOME_CLIENT_GONE;
+            shared.finish_span(&span);
+        }
+    }
+    shared.metrics.lock().expect("metrics lock").batches_streamed += streamed;
+    any_alive
+}
+
+/// Sends every surviving subscriber its `done` frame. A completion is
+/// counted before its frame goes out, so a client that has read `done`
+/// always finds itself in `completed`; a failed write takes it back and
+/// counts a disconnect instead.
+fn finish_group(shared: &Shared, subs: &mut [Sub], eval: &Evaluation, coalesced: bool) {
     let done_at = Instant::now();
     for sub in subs.iter_mut().filter(|s| s.alive) {
-        let frame = done_frame(sub.job.id, &eval, coalesced, &sub.job.tables);
+        let frame = done_frame(sub.job.id, eval, coalesced, &sub.job.tables);
+        {
+            let mut m = shared.metrics.lock().expect("metrics lock");
+            m.completed += 1;
+            m.observe_latency(done_at.duration_since(sub.job.enqueued));
+        }
         let write_started = Instant::now();
         let delivered = sub.job.writer.send(&frame);
         sub.job.span.add_phase(PHASE_STREAM, write_started.elapsed());
-        {
-            let mut m = shared.metrics.lock().expect("metrics lock");
-            if delivered {
-                m.completed += 1;
-                m.observe_latency(done_at.duration_since(sub.job.enqueued));
-            } else {
-                m.disconnects += 1;
-            }
-        }
         let mut span = sub.job.span;
         if delivered {
             span.bytes_streamed += frame.len() as u64;
             span.outcome = 200;
         } else {
+            let mut m = shared.metrics.lock().expect("metrics lock");
+            m.completed -= 1;
+            m.disconnects += 1;
             span.outcome = OUTCOME_CLIENT_GONE;
         }
         shared.finish_span(&span);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::IoSlice;
+
+    use super::*;
+
+    #[test]
+    fn any_stream_passes_vectored_writes_through() {
+        // `Write`'s default `write_vectored` sends only the first slice,
+        // which would split every frame back into prefix and payload.
+        let (a, mut b) = UnixStream::pair().expect("socket pair");
+        let mut s = AnyStream::Unix(a);
+        let n = s.write_vectored(&[IoSlice::new(b"len!"), IoSlice::new(b"payload")]).unwrap();
+        assert_eq!(n, 11);
+        let mut got = [0u8; 11];
+        b.read_exact(&mut got).unwrap();
+        assert_eq!(&got, b"len!payload");
     }
 }

@@ -56,6 +56,9 @@ pub struct RequestSpan {
     pub kind: u8,
     /// Whether this sweep shared an already-queued run.
     pub coalesced: bool,
+    /// Whether this sweep was answered from the result cache (no
+    /// simulation ran, so it has no `prepare` or `execute` phase).
+    pub cached: bool,
     /// Result-frame bytes written to this subscriber.
     pub bytes_streamed: u64,
     /// Batch frames delivered to this subscriber.
@@ -119,13 +122,14 @@ impl RequestSpan {
         ));
         if self.kind == b's' {
             out.push_str(&format!(
-                ",\"synthetic\":{},\"max_mesh_cycles\":{},\"net\":\"{}\",\"fast_forward\":{},\"compiled\":{},\"coalesced\":{},\"batches\":{},\"bytes_streamed\":{}",
+                ",\"synthetic\":{},\"max_mesh_cycles\":{},\"net\":\"{}\",\"fast_forward\":{},\"compiled\":{},\"coalesced\":{},\"cached\":{},\"batches\":{},\"bytes_streamed\":{}",
                 self.synthetic,
                 self.max_mesh_cycles,
                 if self.net_contended { "contended" } else { "ideal" },
                 self.fast_forward,
                 self.compiled,
                 self.coalesced,
+                self.cached,
                 self.batches,
                 self.bytes_streamed,
             ));
