@@ -8,9 +8,13 @@
 //! to the same report serialized in-process.
 //!
 //! The crate is std-only, so this is a tiny hand-rolled emitter, not a
-//! serde stand-in: integers via `Display`, floats via [`f64_json`]
+//! serde stand-in: integers via `Display`, floats via [`push_f64`]
 //! (shortest round-trip, `null` for non-finite — `NaN` is legitimate in
 //! scripted float kernels but not in JSON), strings via [`json_escape`].
+//! Reports are appended to the caller's buffer with no string per
+//! field; the server renders every streamed batch this way.
+
+use std::fmt::Write as _;
 
 use javaflow_fabric::{ExecReport, NetReport, Outcome, RingReport};
 
@@ -18,6 +22,12 @@ use javaflow_fabric::{ExecReport, NetReport, Outcome, RingReport};
 /// included). Control characters become `\u00XX`.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    push_json_escaped(&mut out, s);
+    out
+}
+
+/// [`json_escape`], appended to `out`.
+pub fn push_json_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -25,21 +35,34 @@ pub fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
-/// Formats one `f64` as a JSON value: shortest round-trip representation
+/// A [`std::fmt::Write`] sink that JSON-escapes everything written
+/// through it into a buffer, so a `Debug` rendering can be escaped
+/// without first being collected into its own string.
+struct Escaped<'a>(&'a mut String);
+
+impl std::fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        push_json_escaped(self.0, s);
+        Ok(())
+    }
+}
+
+/// Appends one `f64` as a JSON value: shortest round-trip representation
 /// for finite values, `null` for NaN/infinity (JSON has no spelling for
 /// them, and a bare `NaN` poisons every downstream parser).
-pub fn f64_json(v: f64) -> String {
+pub fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v:?}")
+        let _ = write!(out, "{v:?}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
@@ -76,63 +99,73 @@ pub fn utilization_json(workers: &[WorkerUtilization]) -> String {
     out
 }
 
-/// Serializes one [`Outcome`] as a JSON string value (quotes included).
+/// Appends one [`Outcome`] as a JSON string value (quotes included).
 ///
 /// The variants carry arbitrary payloads (`Value`s, `JvmError`s), so the
 /// wire shape is the escaped `Debug` rendering — the same string the
 /// determinism tests compare, which makes "byte-identical responses"
 /// checkable end to end.
-pub fn outcome_json(o: &Outcome) -> String {
-    format!("\"{}\"", json_escape(&format!("{o:?}")))
+pub fn push_outcome(out: &mut String, o: &Outcome) {
+    out.push('"');
+    let _ = write!(Escaped(out), "{o:?}");
+    out.push('"');
 }
 
-fn ring_json(r: &RingReport) -> String {
-    format!(
+fn push_ring(out: &mut String, r: &RingReport) {
+    let _ = write!(
+        out,
         "{{\"requests\": {}, \"wait_ticks\": {}, \"max_queue\": {}}}",
         r.requests, r.wait_ticks, r.max_queue
-    )
+    );
 }
 
-/// Serializes one [`NetReport`] (link-level contended-run statistics,
+/// Appends one [`NetReport`] (link-level contended-run statistics,
 /// Table 29) as a JSON object.
-pub fn net_report_json(n: &NetReport) -> String {
-    let mut hotspots = String::from("[");
+pub fn push_net_report(out: &mut String, n: &NetReport) {
+    let _ = write!(
+        out,
+        "{{\"mesh_flits\": {}, \"mesh_hops\": {}, \"stall_ticks\": {}, \"max_queue_depth\": {}, \"mean_queue_depth\": ",
+        n.mesh_flits, n.mesh_hops, n.stall_ticks, n.max_queue_depth,
+    );
+    push_f64(out, n.mean_queue_depth);
+    out.push_str(", \"hotspots\": [");
     for (i, h) in n.hotspots.iter().enumerate() {
         if i > 0 {
-            hotspots.push_str(", ");
+            out.push_str(", ");
         }
-        hotspots.push_str(&format!(
+        let _ = write!(
+            out,
             "{{\"x\": {}, \"y\": {}, \"flits\": {}, \"stall_ticks\": {}}}",
             h.x, h.y, h.flits, h.stall_ticks
-        ));
+        );
     }
-    hotspots.push(']');
-    format!(
-        "{{\"mesh_flits\": {}, \"mesh_hops\": {}, \"stall_ticks\": {}, \"max_queue_depth\": {}, \"mean_queue_depth\": {}, \"hotspots\": {hotspots}, \"memory_ring\": {}, \"gpp_ring\": {}}}",
-        n.mesh_flits,
-        n.mesh_hops,
-        n.stall_ticks,
-        n.max_queue_depth,
-        f64_json(n.mean_queue_depth),
-        ring_json(&n.memory_ring),
-        ring_json(&n.gpp_ring),
-    )
+    out.push_str("], \"memory_ring\": ");
+    push_ring(out, &n.memory_ring);
+    out.push_str(", \"gpp_ring\": ");
+    push_ring(out, &n.gpp_ring);
+    out.push('}');
 }
 
-/// Serializes one [`ExecReport`] as a compact single-line JSON object,
+/// Appends one [`ExecReport`] as a compact single-line JSON object,
 /// every field in declaration order, `"net"` as `null` for ideal runs.
-pub fn exec_report_json(r: &ExecReport) -> String {
-    format!(
-        "{{\"outcome\": {}, \"mesh_cycles\": {}, \"executed\": {}, \"relay_fires\": {}, \"static_covered\": {}, \"coverage\": {}, \"ipc\": {}, \"frac_cycles_ge2\": {}, \"frac_cycles_ge1\": {}, \"serial_msgs\": {}, \"mesh_msgs\": {}, \"events\": {}, \"events_skipped\": {}, \"class_fires\": [{}, {}, {}, {}], \"wheel_high_water\": {}, \"wheel_pushes\": {}, \"declined\": {}, \"net\": {}}}",
-        outcome_json(&r.outcome),
-        r.mesh_cycles,
-        r.executed,
-        r.relay_fires,
-        r.static_covered,
-        f64_json(r.coverage),
-        f64_json(r.ipc),
-        f64_json(r.frac_cycles_ge2),
-        f64_json(r.frac_cycles_ge1),
+pub fn push_exec_report(out: &mut String, r: &ExecReport) {
+    out.push_str("{\"outcome\": ");
+    push_outcome(out, &r.outcome);
+    let _ = write!(
+        out,
+        ", \"mesh_cycles\": {}, \"executed\": {}, \"relay_fires\": {}, \"static_covered\": {}, \"coverage\": ",
+        r.mesh_cycles, r.executed, r.relay_fires, r.static_covered,
+    );
+    push_f64(out, r.coverage);
+    out.push_str(", \"ipc\": ");
+    push_f64(out, r.ipc);
+    out.push_str(", \"frac_cycles_ge2\": ");
+    push_f64(out, r.frac_cycles_ge2);
+    out.push_str(", \"frac_cycles_ge1\": ");
+    push_f64(out, r.frac_cycles_ge1);
+    let _ = write!(
+        out,
+        ", \"serial_msgs\": {}, \"mesh_msgs\": {}, \"events\": {}, \"events_skipped\": {}, \"class_fires\": [{}, {}, {}, {}], \"wheel_high_water\": {}, \"wheel_pushes\": {}, \"declined\": {}, \"net\": ",
         r.serial_msgs,
         r.mesh_msgs,
         r.events,
@@ -144,13 +177,29 @@ pub fn exec_report_json(r: &ExecReport) -> String {
         r.wheel_high_water,
         r.wheel_pushes,
         r.declined,
-        r.net.as_deref().map_or_else(|| "null".to_string(), net_report_json),
-    )
+    );
+    match r.net.as_deref() {
+        Some(n) => push_net_report(out, n),
+        None => out.push_str("null"),
+    }
+    out.push('}');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rendered<T: ?Sized>(push: fn(&mut String, &T), v: &T) -> String {
+        let mut out = String::new();
+        push(&mut out, v);
+        out
+    }
+
+    fn f64_json(v: f64) -> String {
+        let mut out = String::new();
+        push_f64(&mut out, v);
+        out
+    }
 
     #[test]
     fn escaping_covers_quotes_backslashes_and_control_bytes() {
@@ -208,10 +257,52 @@ mod tests {
             declined: 0,
             net: None,
         };
-        let json = exec_report_json(&r);
+        let json = rendered(push_exec_report, &r);
         assert!(json.starts_with("{\"outcome\": \"Timeout\", \"mesh_cycles\": 10"));
         assert!(json.contains("\"ipc\": null"), "NaN must serialize as null: {json}");
         assert!(json.contains("\"class_fires\": [1, 2, 3, 4]"));
         assert!(json.ends_with("\"declined\": 0, \"net\": null}"));
+    }
+
+    #[test]
+    fn outcomes_are_the_escaped_debug_rendering() {
+        let err = javaflow_interp::JvmError::bare(javaflow_interp::JvmErrorKind::DivideByZero);
+        for o in [Outcome::Returned(None), Outcome::Timeout, Outcome::Exception(err)] {
+            assert_eq!(
+                rendered(push_outcome, &o),
+                format!("\"{}\"", json_escape(&format!("{o:?}")))
+            );
+        }
+        // A `Debug` rendering arrives in pieces; each piece is escaped.
+        let mut out = String::new();
+        let (plain, debugged) = ("a\"b", "c\\d\n");
+        let _ = write!(Escaped(&mut out), "{plain}{debugged:?}");
+        assert_eq!(out, json_escape(&format!("{plain}{debugged:?}")));
+    }
+
+    #[test]
+    fn net_report_layout_is_pinned() {
+        let ring = |requests| RingReport { requests, wait_ticks: 2, max_queue: 3 };
+        let n = NetReport {
+            mesh_flits: 1,
+            mesh_hops: 2,
+            stall_ticks: 3,
+            max_queue_depth: 4,
+            mean_queue_depth: 0.5,
+            hotspots: vec![
+                javaflow_fabric::NodeNetStat { x: 0, y: 1, flits: 5, stall_ticks: 6 },
+                javaflow_fabric::NodeNetStat { x: 2, y: 3, flits: 7, stall_ticks: 8 },
+            ],
+            memory_ring: ring(9),
+            gpp_ring: ring(10),
+        };
+        assert_eq!(
+            rendered(push_net_report, &n),
+            "{\"mesh_flits\": 1, \"mesh_hops\": 2, \"stall_ticks\": 3, \"max_queue_depth\": 4, \
+             \"mean_queue_depth\": 0.5, \"hotspots\": [{\"x\": 0, \"y\": 1, \"flits\": 5, \
+             \"stall_ticks\": 6}, {\"x\": 2, \"y\": 3, \"flits\": 7, \"stall_ticks\": 8}], \
+             \"memory_ring\": {\"requests\": 9, \"wait_ticks\": 2, \"max_queue\": 3}, \
+             \"gpp_ring\": {\"requests\": 10, \"wait_ticks\": 2, \"max_queue\": 3}}"
+        );
     }
 }

@@ -18,10 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use javaflow_fabric::net::{NetReport, NodeNetStat, RingReport};
-use javaflow_fabric::trace::{
-    decode_value, unpack_coords, WARN_COMPILE_DATA_MODE, WARN_COMPILE_GPP, WARN_COMPILE_NET_ORDER,
-    WARN_FF_GPP, WARN_FF_NET_ORDER,
-};
+use javaflow_fabric::trace::{decode_value, unpack_coords, WARN_FF_GPP, WARN_FF_NET_ORDER};
 use javaflow_fabric::{ExecReport, Outcome, TraceEvent, TraceKind};
 
 /// An [`ExecReport`] reconstructed purely from a recorded event stream.
@@ -51,7 +48,7 @@ pub struct Replay {
     pub mesh_msgs: u64,
     /// Fires per timing class.
     pub class_fires: [u64; 4],
-    /// Semantic fast-forward / compile decline bitmask, reconstructed
+    /// Semantic fast-forward decline bitmask, reconstructed
     /// from the recorded `Warn` events (bit `1 << code`) — mirrors
     /// `ExecReport::declined`.
     pub declined: u8,
@@ -442,9 +439,6 @@ pub fn chrome_trace_json(runs: &[(&str, &[TraceEvent])]) -> String {
                     let why = match ev.arg {
                         WARN_FF_NET_ORDER => "fast-forward disabled: net not order-free",
                         WARN_FF_GPP => "fast-forward disabled: non-stub GPP",
-                        WARN_COMPILE_NET_ORDER => "compile declined: net not order-free",
-                        WARN_COMPILE_GPP => "compile declined: non-stub GPP",
-                        WARN_COMPILE_DATA_MODE => "compile declined: data-driven branches",
                         _ => "warning",
                     };
                     emits.push(TraceSpan {

@@ -33,7 +33,7 @@ use std::time::Instant;
 use javaflow_analysis::report_json::utilization_json;
 use javaflow_bench::{chapter5_tables, chapter7_tables, profile_suite};
 use javaflow_core::parallel::default_threads;
-use javaflow_core::{EvalConfig, Evaluation, PreparedPopulation};
+use javaflow_core::{EvalConfig, Evaluation};
 use javaflow_fabric::NetKind;
 
 /// Counting wrapper around the system allocator, so `--bench-kernel` can
@@ -142,12 +142,9 @@ fn bench_eval(synthetic: usize, threads: usize) {
 }
 
 /// Times the event kernel itself: a serial sweep (wall time, scheduler
-/// events processed, heap allocations), a parallel sweep, and the
-/// block-compiled backend (one cold sweep that records the AOT schedules
-/// through a [`PreparedPopulation`], then a warm sweep that only replays
-/// them), checks all of them produce identical reports, and records the
-/// numbers — plus the pre-timing-wheel baseline for comparison — in
-/// `BENCH_kernel.json`.
+/// events processed, heap allocations) and a parallel sweep, checks both
+/// produce identical reports, and records the numbers — plus the
+/// pre-timing-wheel baseline for comparison — in `BENCH_kernel.json`.
 fn bench_kernel(synthetic: usize, threads: usize) {
     // serial_secs of the committed BENCH_kernel.json the fast-forward work
     // was measured against (synthetic 1500 on the timing-wheel kernel,
@@ -172,32 +169,6 @@ fn bench_kernel(synthetic: usize, threads: usize) {
     let identical = format!("{:?}", serial.samples) == format!("{:?}", parallel.samples)
         && format!("{:?}", serial.statics) == format!("{:?}", parallel.statics);
 
-    // Compiled backend, measured the way a resident process runs it: the
-    // PreparedPopulation holds the schedule caches, the first sweep
-    // records (cold), every later sweep replays (warm). Serial, like the
-    // interpreted reference, so events/s compares kernel to kernel.
-    eprintln!("preparing the population for the compiled backend …");
-    let pop = PreparedPopulation::prepare(synthetic, threads);
-    let compiled_cfg = EvalConfig {
-        synthetic_count: synthetic,
-        threads: 1,
-        compiled: true,
-        ..EvalConfig::default()
-    };
-    eprintln!("compiled cold sweep (recording AOT schedules) …");
-    let t3 = Instant::now();
-    let cold = pop.evaluate(&compiled_cfg);
-    let compiled_cold_secs = t3.elapsed().as_secs_f64();
-    eprintln!("compiled cold sweep: {compiled_cold_secs:.2}s");
-    eprintln!("compiled warm sweep (replaying AOT schedules) …");
-    let t4 = Instant::now();
-    let warm = pop.evaluate(&compiled_cfg);
-    let compiled_warm_secs = t4.elapsed().as_secs_f64();
-    eprintln!("compiled warm sweep: {compiled_warm_secs:.2}s");
-    let compiled_identical = format!("{:?}", cold.samples) == format!("{:?}", serial.samples)
-        && format!("{:?}", warm.samples) == format!("{:?}", serial.samples)
-        && format!("{:?}", warm.statics) == format!("{:?}", serial.statics);
-
     let events: u64 = serial.samples.iter().map(|s| s.report.events).sum();
     let events_skipped: u64 = serial.samples.iter().map(|s| s.report.events_skipped).sum();
     let events_per_sec = events as f64 / serial_secs.max(1e-9);
@@ -209,22 +180,9 @@ fn bench_kernel(synthetic: usize, threads: usize) {
         0.0
     };
 
-    // Warm replays process the same reports without popping events, so
-    // the compiled rate is the same event total over the replay time.
-    let compiled_events_per_sec = events as f64 / compiled_warm_secs.max(1e-9);
-    let compiled_speedup = serial_secs / compiled_warm_secs.max(1e-9);
-    // Sweeps until the compiled backend's total time (one cold recording
-    // plus warm replays) beats the interpreted kernel: the cold overhead
-    // divided by the per-sweep saving. 0 = ahead from the first sweep.
-    let compiled_amortize_sweeps = if compiled_cold_secs <= serial_secs {
-        0.0
-    } else {
-        (compiled_cold_secs - serial_secs) / (serial_secs - compiled_warm_secs).max(1e-9)
-    };
-
     let metrics = serial.metrics().to_json();
     let json = format!(
-        "{{\n  \"benchmark\": \"tables --bench-kernel --synthetic {synthetic}\",\n  \"records\": {},\n  \"samples\": {},\n  \"threads\": {threads},\n  \"threads_used\": {},\n  \"serial_secs\": {serial_secs:.3},\n  \"parallel_secs\": {parallel_secs:.3},\n  \"parallel_speedup\": {:.2},\n  \"events\": {events},\n  \"events_skipped\": {events_skipped},\n  \"events_per_sec\": {events_per_sec:.0},\n  \"serial_allocs\": {serial_allocs},\n  \"serial_alloc_bytes\": {serial_alloc_bytes},\n  \"allocs_per_sample\": {allocs_per_sample:.1},\n  \"baseline_serial_secs\": {BASELINE_SERIAL_SECS},\n  \"baseline_synthetic\": {BASELINE_SYNTHETIC},\n  \"speedup_vs_baseline\": {speedup_vs_baseline:.2},\n  \"identical_output\": {identical},\n  \"compiled\": {{\n    \"cold_secs\": {compiled_cold_secs:.3},\n    \"warm_secs\": {compiled_warm_secs:.3},\n    \"events_per_sec\": {compiled_events_per_sec:.0},\n    \"speedup_vs_interpreted\": {compiled_speedup:.2},\n    \"amortize_sweeps\": {compiled_amortize_sweeps:.2},\n    \"identical_output\": {compiled_identical}\n  }},\n  \"utilization\": {},\n  \"metrics\": {metrics}\n}}\n",
+        "{{\n  \"benchmark\": \"tables --bench-kernel --synthetic {synthetic}\",\n  \"records\": {},\n  \"samples\": {},\n  \"threads\": {threads},\n  \"threads_used\": {},\n  \"serial_secs\": {serial_secs:.3},\n  \"parallel_secs\": {parallel_secs:.3},\n  \"parallel_speedup\": {:.2},\n  \"events\": {events},\n  \"events_skipped\": {events_skipped},\n  \"events_per_sec\": {events_per_sec:.0},\n  \"serial_allocs\": {serial_allocs},\n  \"serial_alloc_bytes\": {serial_alloc_bytes},\n  \"allocs_per_sample\": {allocs_per_sample:.1},\n  \"baseline_serial_secs\": {BASELINE_SERIAL_SECS},\n  \"baseline_synthetic\": {BASELINE_SYNTHETIC},\n  \"speedup_vs_baseline\": {speedup_vs_baseline:.2},\n  \"identical_output\": {identical},\n  \"utilization\": {},\n  \"metrics\": {metrics}\n}}\n",
         serial.records.len(),
         serial.samples.len(),
         parallel.sweep.threads_used,
@@ -234,7 +192,6 @@ fn bench_kernel(synthetic: usize, threads: usize) {
     std::fs::write("BENCH_kernel.json", &json).expect("write BENCH_kernel.json");
     println!("{json}");
     assert!(identical, "parallel sweep diverged from the serial sweep");
-    assert!(compiled_identical, "compiled sweep diverged from the interpreted serial sweep");
 }
 
 /// Runs the same sweep under the ideal and contended interconnect models,

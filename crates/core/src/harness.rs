@@ -47,12 +47,10 @@ pub struct EvalConfig {
     /// report-invariant (order-free net models, stub GPP), so turning it
     /// off trades speed for a naive walk of the identical event stream.
     pub fast_forward: bool,
-    /// Block-compiled execution (`ExecParams::compiled`). Off by default:
-    /// a one-shot sweep runs every (method, config, script) key exactly
-    /// once, so recording a schedule that is never replayed is pure
-    /// overhead. Resident processes (`core::service`, the server) that
-    /// re-run sweeps against cached [`javaflow_fabric::PreparedMethod`]s
-    /// opt in and amortize the one recording run across every replay.
+    /// Ignored. Formerly selected block-compiled replay, which the
+    /// server's result cache made redundant; the field stays only so
+    /// existing struct literals keep compiling. Every sweep runs the one
+    /// token-bundle walk.
     pub compiled: bool,
 }
 
@@ -196,15 +194,7 @@ impl Evaluation {
             || pool.checkout(),
             |arena| pool.checkin(arena),
             |arena, ri, rec| {
-                eval_record(
-                    ri,
-                    rec,
-                    &configs,
-                    cfg.max_mesh_cycles,
-                    cfg.fast_forward,
-                    cfg.compiled,
-                    arena,
-                )
+                eval_record(ri, rec, &configs, cfg.max_mesh_cycles, cfg.fast_forward, arena)
             },
         );
 
@@ -508,27 +498,16 @@ pub(crate) fn cost_schedule(records: &[MethodRecord], profile: Option<&CostProfi
 /// Resolution and the routing graph are configuration-independent, so the
 /// record is [`prepare`]d exactly once and each configuration only adds a
 /// placement; the caller's arena is reused across every run.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_record(
     ri: usize,
     rec: &MethodRecord,
     configs: &[FabricConfig],
     max_mesh_cycles: u64,
     fast_forward: bool,
-    compiled: bool,
     arena: &mut SimArena,
 ) -> (MethodStatics, Vec<Sample>) {
     let prepared = prepare(&rec.method).ok();
-    eval_prepared(
-        ri,
-        rec,
-        prepared.as_ref(),
-        configs,
-        max_mesh_cycles,
-        fast_forward,
-        compiled,
-        arena,
-    )
+    eval_prepared(ri, rec, prepared.as_ref(), configs, max_mesh_cycles, fast_forward, arena)
 }
 
 /// [`eval_record`] with the [`prepare`] step hoisted out, so a resident
@@ -536,7 +515,6 @@ pub(crate) fn eval_record(
 /// and still run the *same* statics/sample assembly — byte-identity of
 /// served results against [`Evaluation::run`] is structural, not luck.
 /// `prepared` is `None` for fabric-inexecutable methods (jsr/switches).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_prepared(
     ri: usize,
     rec: &MethodRecord,
@@ -544,7 +522,6 @@ pub(crate) fn eval_prepared(
     configs: &[FabricConfig],
     max_mesh_cycles: u64,
     fast_forward: bool,
-    compiled: bool,
     arena: &mut SimArena,
 ) -> (MethodStatics, Vec<Sample>) {
     let v = verify(&rec.method).expect("population verifies");
@@ -590,8 +567,7 @@ pub(crate) fn eval_prepared(
             let Some(placement) = placements[ci].take() else { continue };
             let loaded = prepared.with_placement(placement);
             for bp in [BranchMode::Bp1, BranchMode::Bp2] {
-                let report =
-                    run_scripted(&loaded, fc, bp, max_mesh_cycles, fast_forward, compiled, arena);
+                let report = run_scripted(&loaded, fc, bp, max_mesh_cycles, fast_forward, arena);
                 let ok = matches!(report.outcome, Outcome::Returned(_));
                 samples.push(Sample { record: ri, config: ci, bp, report, ok });
             }
@@ -606,13 +582,12 @@ fn run_scripted(
     bp: BranchMode,
     max_mesh_cycles: u64,
     fast_forward: bool,
-    compiled: bool,
     arena: &mut SimArena,
 ) -> ExecReport {
     javaflow_fabric::execute_in(
         loaded,
         fc,
-        ExecParams { mode: bp, max_mesh_cycles, fast_forward, compiled, ..ExecParams::default() },
+        ExecParams { mode: bp, max_mesh_cycles, fast_forward, ..ExecParams::default() },
         arena,
     )
 }

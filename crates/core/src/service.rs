@@ -20,8 +20,7 @@
 use std::sync::Arc;
 
 use javaflow_fabric::{
-    prepare, ArenaPool, CompiledCache, DataflowGraph, DecodedMethod, FabricConfig, PreparedMethod,
-    Resolved,
+    prepare, ArenaPool, DataflowGraph, DecodedMethod, FabricConfig, PreparedMethod, Resolved,
 };
 
 use crate::harness::{cost_schedule, eval_prepared};
@@ -37,10 +36,6 @@ struct PreparedParts {
     resolved: Arc<Resolved>,
     graph: Arc<DataflowGraph>,
     decoded: Arc<DecodedMethod>,
-    /// Block-schedule cache shared across sweeps: a compiled sweep's
-    /// first visit to a (config, script) key records the schedule, every
-    /// later sweep replays it.
-    compiled: Arc<CompiledCache>,
 }
 
 /// A population prepared once and swept many times.
@@ -64,7 +59,6 @@ impl PreparedPopulation {
                 resolved: p.resolved,
                 graph: p.graph,
                 decoded: p.decoded,
-                compiled: p.compiled,
             })
         });
         PreparedPopulation { synthetic_count, records: records.into(), preps }
@@ -98,7 +92,6 @@ impl PreparedPopulation {
             resolved: Arc::clone(&p.resolved),
             graph: Arc::clone(&p.graph),
             decoded: Arc::clone(&p.decoded),
-            compiled: Arc::clone(&p.compiled),
         })
     }
 
@@ -144,7 +137,6 @@ impl PreparedPopulation {
                     &configs,
                     cfg.max_mesh_cycles,
                     cfg.fast_forward,
-                    cfg.compiled,
                     arena,
                 )
             },

@@ -47,7 +47,6 @@
 #![warn(missing_debug_implementations)]
 
 mod branch;
-mod compile;
 pub mod compute;
 mod config;
 mod enhance;
@@ -63,7 +62,6 @@ pub mod trace;
 pub mod wheel;
 
 pub use branch::{BranchMode, BranchOracle};
-pub use compile::{CompiledCache, CompiledMethod};
 pub use config::{ConfigError, FabricConfig, Layout, HETERO_PATTERN};
 pub use enhance::{DataflowGraph, Relay};
 pub use manager::{AnchorId, FabricManager, ManageError};
@@ -83,7 +81,7 @@ pub use sim::{
 pub use timing::Timing;
 pub use token::{Command, InstanceId, SerialDest, SerialMessage, Token};
 pub use trace::{
-    warn_counter_name, NoopSink, RingRecorder, StderrSink, TraceEvent, TraceKind, TraceSink,
-    EVENT_BYTES, WARN_COUNTERS,
+    warn_counter_name, NoopSink, RingRecorder, TraceEvent, TraceKind, TraceSink, EVENT_BYTES,
+    WARN_COUNTERS,
 };
 pub use wheel::TimingWheel;

@@ -172,7 +172,6 @@ impl FabricManager {
                             resolved: Arc::new(resolved),
                             graph: Arc::new(graph),
                             decoded: Arc::new(DecodedMethod::decode(method)),
-                            compiled: Arc::new(crate::CompiledCache::new()),
                         },
                     ));
                 }

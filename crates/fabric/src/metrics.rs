@@ -243,7 +243,7 @@ impl MetricsRegistry {
             Outcome::Exception(_) => "runs_exception",
         };
         self.add(outcome, 1);
-        // Semantic fast-forward / compile declines, visible without an
+        // Semantic fast-forward declines, visible without an
         // active trace sink (satellite of the observability PR).
         for (code, name) in crate::trace::WARN_COUNTERS {
             if r.declined & (1 << code) != 0 {
@@ -639,7 +639,7 @@ mod tests {
 
     #[test]
     fn declined_reports_count_warn_reasons() {
-        use crate::trace::{WARN_COMPILE_DATA_MODE, WARN_FF_NET_ORDER};
+        use crate::trace::WARN_FF_NET_ORDER;
         let mut reg = MetricsRegistry::new();
         let r = ExecReport {
             outcome: Outcome::Deadlock,
@@ -658,12 +658,11 @@ mod tests {
             class_fires: [0; 4],
             wheel_high_water: 0,
             wheel_pushes: 0,
-            declined: (1 << WARN_FF_NET_ORDER) | (1 << WARN_COMPILE_DATA_MODE),
+            declined: 1 << WARN_FF_NET_ORDER,
             net: None,
         };
         reg.observe_report(&r, [1; 4]);
         assert_eq!(reg.counter("warn_ff_net_order"), 1);
-        assert_eq!(reg.counter("warn_compile_data_mode"), 1);
         assert_eq!(reg.counter("warn_ff_gpp"), 0);
         reg.observe_report(&r, [1; 4]);
         assert_eq!(reg.counter("warn_ff_net_order"), 2);

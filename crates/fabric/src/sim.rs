@@ -35,14 +35,12 @@ use javaflow_bytecode::{InstructionGroup, Method, Opcode, Operand, Value};
 use javaflow_interp::{Interp, JvmError, JvmErrorKind};
 
 use crate::{
-    compile::{BlockRecorder, CompiledCache, CompiledMethod, Snapshot},
     compute::{eval_condition, eval_into, OutVals},
     net::{ContendedNet, IdealNet, NetModel},
     place, resolve,
     trace::{
-        encode_token, encode_value, env_stderr_sink, pack_coords, NoopSink, TraceEvent, TraceKind,
-        TraceSink, WARN_COMPILE_DATA_MODE, WARN_COMPILE_GPP, WARN_COMPILE_NET_ORDER, WARN_FF_GPP,
-        WARN_FF_NET_ORDER,
+        encode_token, encode_value, pack_coords, NoopSink, TraceEvent, TraceKind, TraceSink,
+        WARN_FF_GPP, WARN_FF_NET_ORDER,
     },
     BranchMode, BranchOracle, DataflowGraph, FabricConfig, NetKind, NetReport, PlaceError,
     Placement, ResolveError, Resolved, TimingWheel, Token,
@@ -52,7 +50,7 @@ use crate::{
 ///
 /// The resolution, routing graph, and decode table are shared with the
 /// [`PreparedMethod`] they came from (and with every other placement of
-/// it) — stamping a prepared method onto a configuration is two `Arc`
+/// it) — stamping a prepared method onto a configuration is three `Arc`
 /// bumps, not a deep copy.
 #[derive(Debug)]
 pub struct LoadedMethod<'m> {
@@ -67,20 +65,13 @@ pub struct LoadedMethod<'m> {
     pub graph: Arc<DataflowGraph>,
     /// The pre-decoded per-instruction dispatch table.
     pub decoded: Arc<DecodedMethod>,
-    /// Block-compiled schedules keyed by `(config, mode, budget, args)`,
-    /// shared with the [`PreparedMethod`] so every placement and sweep
-    /// over the method reuses one artifact per key.
-    pub compiled: Arc<CompiledCache>,
 }
 
 impl LoadedMethod<'_> {
     /// Mutable access to the routing graph for the Section 6.4
     /// enhancement passes (folding, fanout limiting). Unshares the graph
-    /// from sibling placements first if needed — and detaches the
-    /// compiled-schedule cache, whose recorded timings assume the
-    /// untransformed graph.
+    /// from sibling placements first if needed.
     pub fn graph_mut(&mut self) -> &mut DataflowGraph {
-        self.compiled = Arc::new(CompiledCache::new());
         Arc::make_mut(&mut self.graph)
     }
 }
@@ -259,17 +250,12 @@ pub struct PreparedMethod<'m> {
     pub graph: Arc<DataflowGraph>,
     /// The pre-decoded per-instruction dispatch table.
     pub decoded: Arc<DecodedMethod>,
-    /// Block-compiled schedule cache (`ExecParams::compiled`), shared by
-    /// every placement of this method: the first eligible run per
-    /// `(config, mode, budget, args)` key records an AOT schedule, all
-    /// later runs replay it.
-    pub compiled: Arc<CompiledCache>,
 }
 
 impl<'m> PreparedMethod<'m> {
     /// Combines the prepared parts with an externally computed placement
     /// into a runnable [`LoadedMethod`]. Shares (rather than deep-copies)
-    /// the resolution, graph, decode table, and compiled-schedule cache.
+    /// the resolution, graph, and decode table.
     #[must_use]
     pub fn with_placement(&self, placement: Placement) -> LoadedMethod<'m> {
         LoadedMethod {
@@ -278,7 +264,6 @@ impl<'m> PreparedMethod<'m> {
             resolved: Arc::clone(&self.resolved),
             graph: Arc::clone(&self.graph),
             decoded: Arc::clone(&self.decoded),
-            compiled: Arc::clone(&self.compiled),
         }
     }
 }
@@ -306,7 +291,6 @@ pub fn prepare(method: &Method) -> Result<PreparedMethod<'_>, LoadError> {
         resolved: Arc::new(resolved),
         graph: Arc::new(graph),
         decoded: Arc::new(DecodedMethod::decode(method)),
-        compiled: Arc::new(CompiledCache::new()),
     })
 }
 
@@ -389,7 +373,7 @@ pub struct ExecReport {
     pub wheel_high_water: u64,
     /// Total events pushed into the timing wheel.
     pub wheel_pushes: u64,
-    /// Bitmask of *semantic* fast-forward / compile declines: bit
+    /// Bitmask of *semantic* fast-forward declines: bit
     /// `1 << WARN_*` is set when the caller asked for the fast path but
     /// the gate picked the naive walk for that reason. Only the semantic
     /// reasons are recorded — an active trace sink forcing the naive
@@ -422,18 +406,6 @@ pub struct ExecParams<'g, 'p> {
     /// stub GPP — see DESIGN.md "Skip-index fast-forwarding"). `false`
     /// forces the naive per-node walk everywhere (differential testing).
     pub fast_forward: bool,
-    /// Execute from a block-compiled AOT schedule (`fabric::compile`)
-    /// instead of the event loop. Eligibility is fast-forward's gate plus
-    /// the scripted-mode requirement (ideal interconnect, stub GPP,
-    /// `BranchMode::Bp1`/`Bp2`, no active trace sink); ineligible runs
-    /// fall back to the interpreted walk and an active sink gets a
-    /// `WARN_COMPILE_*` event. The first eligible run per `(config,
-    /// mode, budget, args)` key pays one recorded interpreted run to
-    /// build the schedule; later runs replay it allocation-free with a
-    /// bit-identical report. Off by default: one-shot sweeps never
-    /// re-execute a key, so recording would be pure overhead — resident
-    /// processes (the sweep server) and repeated-run harnesses opt in.
-    pub compiled: bool,
 }
 
 impl Default for ExecParams<'_, '_> {
@@ -444,7 +416,6 @@ impl Default for ExecParams<'_, '_> {
             gpp: Gpp::Stub,
             args: Vec::new(),
             fast_forward: true,
-            compiled: false,
         }
     }
 }
@@ -764,14 +735,7 @@ pub fn execute_in(
     params: ExecParams<'_, '_>,
     arena: &mut SimArena,
 ) -> ExecReport {
-    // The historical `JAVAFLOW_TRACE_*` environment toggles select a
-    // stderr sink; checked per run (not once per process), so tests can
-    // flip them between executions. With the variables unset this is the
-    // `NoopSink` instantiation: the traced seam compiles out entirely.
-    match env_stderr_sink() {
-        Some(mut sink) => execute_with_sink(lm, config, params, arena, &mut sink),
-        None => execute_with_sink(lm, config, params, arena, &mut NoopSink),
-    }
+    execute_with_sink(lm, config, params, arena, &mut NoopSink)
 }
 
 /// Runs a loaded method with a caller-provided [`TraceSink`] observing
@@ -796,119 +760,12 @@ pub fn execute_with_sink<S: TraceSink>(
     sink: &mut S,
 ) -> ExecReport {
     config.validate().expect("invalid FabricConfig");
-    // The block-compiled gate: fast-forward's eligibility (order-free
-    // interconnect, stub GPP, no active sink) plus scripted branches —
-    // only then is the whole run independent of data values and a
-    // recorded schedule exact. Declines fall through to the event loop,
-    // which emits the `WARN_COMPILE_*` trace events.
-    if params.compiled
-        && matches!(config.net, NetKind::Ideal)
-        && matches!(params.gpp, Gpp::Stub)
-        && params.mode.is_scripted()
-        && !S::ACTIVE
-    {
-        return run_compiled(lm, config, params, arena, sink);
-    }
     match config.net {
-        NetKind::Ideal => Sim::new(lm, config, params, arena, IdealNet, sink, None).run(),
+        NetKind::Ideal => Sim::new(lm, config, params, arena, IdealNet, sink).run(),
         NetKind::Contended => {
             let net = ContendedNet::new(config);
-            Sim::new(lm, config, params, arena, net, sink, None).run()
+            Sim::new(lm, config, params, arena, net, sink).run()
         }
-    }
-}
-
-/// The compiled execution entry: replay the cached AOT schedule for this
-/// `(config, mode, budget, fast-forward, args)` key, or record one with
-/// an instrumented run on a cache miss. The recording run *is* the
-/// requested execution — its report is returned directly, so a cold
-/// compile costs one interpreted run plus the recorder's bookkeeping.
-fn run_compiled<S: TraceSink>(
-    lm: &LoadedMethod<'_>,
-    config: &FabricConfig,
-    params: ExecParams<'_, '_>,
-    arena: &mut SimArena,
-    sink: &mut S,
-) -> ExecReport {
-    let (mode, max, ff) = (params.mode, params.max_mesh_cycles, params.fast_forward);
-    if let Some(cm) = lm.compiled.lookup(config, mode, max, ff, &params.args) {
-        return replay_schedule(&cm, lm, arena);
-    }
-    let args = params.args.clone();
-    let mut rec = BlockRecorder::new();
-    let report = Sim::new(lm, config, params, arena, IdealNet, sink, Some(&mut rec)).run();
-    let active_static = lm.graph.active.iter().filter(|a| **a).count().max(1);
-    let cm = rec.finish_from_report(&report, active_static, config.mesh_cycle_ticks());
-    lm.compiled.insert(config, mode, max, ff, &args, Arc::new(cm));
-    report
-}
-
-/// Executes a [`CompiledMethod`]: walk the run-length-encoded block
-/// schedule, fold each block's precomputed counter and delay offsets in
-/// (scaled by the repeat count), and mark its firing order in the
-/// coverage slab. Allocation-free on a warmed arena; the report is
-/// bit-identical to the interpreted run the schedule was recorded from.
-fn replay_schedule(cm: &CompiledMethod, lm: &LoadedMethod<'_>, arena: &mut SimArena) -> ExecReport {
-    arena.reset_for(&lm.decoded);
-    let mut end = 0u64;
-    let mut events = 0u64;
-    let mut events_skipped = 0u64;
-    let mut executed = 0u64;
-    let mut relay_fires = 0u64;
-    let mut serial_msgs = 0u64;
-    let mut mesh_msgs = 0u64;
-    let mut wheel_pushes = 0u64;
-    let mut acc_ge1 = 0u64;
-    let mut acc_ge2 = 0u64;
-    let mut class_fires = [0u64; 4];
-    let mut static_covered = 0usize;
-    for &(bid, count) in &cm.schedule {
-        let b = &cm.blocks[bid as usize];
-        let k = u64::from(count);
-        end += b.ticks * k;
-        events += b.events * k;
-        events_skipped += b.events_skipped * k;
-        executed += b.executed * k;
-        relay_fires += b.relay_fires * k;
-        serial_msgs += b.serial_msgs * k;
-        mesh_msgs += b.mesh_msgs * k;
-        wheel_pushes += b.wheel_pushes * k;
-        acc_ge1 += b.acc_ge1 * k;
-        acc_ge2 += b.acc_ge2 * k;
-        for (acc, d) in class_fires.iter_mut().zip(&b.class_fires) {
-            *acc += d * k;
-        }
-        for &f in &b.fired {
-            let ix = f as usize;
-            if !arena.covered[ix] {
-                arena.covered[ix] = true;
-                static_covered += 1;
-            }
-        }
-    }
-    let end = end.max(1);
-    let mesh_cycles = end.div_ceil(cm.mesh_ticks);
-    ExecReport {
-        outcome: cm.outcome.clone(),
-        mesh_cycles,
-        executed,
-        relay_fires,
-        static_covered,
-        coverage: static_covered as f64 / cm.active_static as f64,
-        ipc: executed as f64 / mesh_cycles as f64,
-        frac_cycles_ge2: acc_ge2 as f64 / end as f64,
-        frac_cycles_ge1: acc_ge1 as f64 / end as f64,
-        serial_msgs,
-        mesh_msgs,
-        events,
-        events_skipped,
-        class_fires,
-        wheel_high_water: cm.wheel_high_water,
-        wheel_pushes,
-        // Replay only happens when the whole compile gate passed, which
-        // subsumes the fast-forward gate: nothing was declined.
-        declined: 0,
-        net: None,
     }
 }
 
@@ -931,14 +788,6 @@ struct Sim<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> {
     /// What the caller asked for — when the gate declines it, an active
     /// sink gets a [`TraceKind::Warn`] naming the reason.
     wanted_ff: bool,
-    /// Whether the caller asked for block-compiled execution — when the
-    /// gate declined it (this event loop is running instead), an active
-    /// sink gets a [`TraceKind::Warn`] naming the reason.
-    wanted_compiled: bool,
-    /// Block-schedule recorder riding this run (`fabric::compile` cache
-    /// misses only); observes fires, backward-jump re-injections, and
-    /// the final counter snapshot.
-    rec: Option<&'a mut BlockRecorder>,
     // stats
     events: u64,
     events_skipped: u64,
@@ -964,7 +813,6 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
         arena: &'a mut SimArena,
         net: N,
         tracer: &'a mut S,
-        rec: Option<&'a mut BlockRecorder>,
     ) -> Self {
         let n = lm.method.code.len();
         let dm: &'a DecodedMethod = &lm.decoded;
@@ -997,8 +845,6 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
             max_ticks,
             ff,
             wanted_ff: params.fast_forward,
-            wanted_compiled: params.compiled,
-            rec,
             events: 0,
             events_skipped: 0,
             executed: 0,
@@ -1018,24 +864,6 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
 
     fn mesh_ticks(&self) -> u64 {
         self.cfg.mesh_cycle_ticks()
-    }
-
-    /// Cumulative counter snapshot for the block recorder; two snapshots
-    /// bracket a block and their difference is the block's delta.
-    fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            now: self.now,
-            events: self.events,
-            events_skipped: self.events_skipped,
-            executed: self.executed,
-            relay_fires: self.relay_fires,
-            serial_msgs: self.serial_msgs,
-            mesh_msgs: self.mesh_msgs,
-            wheel_pushes: self.arena.queue.pushes(),
-            acc_ge1: self.acc_ge1,
-            acc_ge2: self.acc_ge2,
-            class_fires: self.class_fires,
-        }
     }
 
     fn serial_hop(&self) -> u64 {
@@ -1187,7 +1015,7 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
     }
 
     fn run(mut self) -> ExecReport {
-        // Surface a silent fast-forward / compile downgrade: the caller
+        // Surface a silent fast-forward downgrade: the caller
         // asked for the fast kernel but the gate picked the naive walk.
         // Only the *semantic* reasons count — an active sink forcing the
         // naive walk is not one, so a recording (and the `declined`
@@ -1201,25 +1029,8 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
                 declined |= 1 << WARN_FF_GPP;
             }
         }
-        if self.wanted_compiled {
-            for (cond, code) in [
-                (!N::ORDER_FREE, WARN_COMPILE_NET_ORDER),
-                (!matches!(self.gpp, Gpp::Stub), WARN_COMPILE_GPP),
-                (!self.lenient, WARN_COMPILE_DATA_MODE),
-            ] {
-                if cond {
-                    declined |= 1 << code;
-                }
-            }
-        }
         if S::ACTIVE {
-            for code in [
-                WARN_FF_NET_ORDER,
-                WARN_FF_GPP,
-                WARN_COMPILE_NET_ORDER,
-                WARN_COMPILE_GPP,
-                WARN_COMPILE_DATA_MODE,
-            ] {
+            for code in [WARN_FF_NET_ORDER, WARN_FF_GPP] {
                 if declined & (1 << code) != 0 {
                     self.tracer.record(&TraceEvent {
                         tick: 0,
@@ -1284,14 +1095,6 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
             }
         }
         self.arena.batch = batch;
-        // Close the final (fall-through) block: everything fired since
-        // the last backward-jump re-injection up to the settled outcome.
-        if self.rec.is_some() {
-            let snap = self.snapshot();
-            if let Some(r) = self.rec.as_deref_mut() {
-                r.boundary(snap);
-            }
-        }
         let end = self.now.max(1);
         let mesh_cycles = end.div_ceil(self.mesh_ticks());
         let static_covered = self.arena.covered.iter().filter(|c| **c).count();
@@ -1657,9 +1460,6 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
         self.executed += 1;
         self.class_fires[usize::from(d.timing_class)] += 1;
         self.set_busy(1);
-        if let Some(r) = self.rec.as_deref_mut() {
-            r.on_fire(i);
-        }
 
         let exec_ticks = self.class_ticks[usize::from(d.timing_class)];
         if S::ACTIVE {
@@ -2034,15 +1834,6 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
             );
         }
         self.arena.scratch.clear();
-        // A completed re-injection is a block boundary: the loop body is
-        // back in its ready state, so the firings since the previous
-        // boundary form one repeatable schedule unit.
-        if self.rec.is_some() {
-            let snap = self.snapshot();
-            if let Some(r) = self.rec.as_deref_mut() {
-                r.boundary(snap);
-            }
-        }
     }
 
     /// Ordered memory operations against the shared JVM state (or dummy

@@ -16,9 +16,6 @@
 //!   `analysis::trace` replays a recording into Table 21/29-style
 //!   numbers and cross-checks them against the live counters, and the
 //!   Chrome-trace exporter turns one into a Perfetto-loadable JSON.
-//! * [`StderrSink`] — the line-per-event debugging aliases behind the
-//!   historical `JAVAFLOW_TRACE_REG` / `JAVAFLOW_TRACE_MEM` environment
-//!   toggles (re-read per run, so tests can flip them between runs).
 //!
 //! # Tick semantics
 //!
@@ -41,32 +38,12 @@ pub const WARN_FF_NET_ORDER: u32 = 1;
 /// requested but auto-disabled because a non-stub GPP is attached (the
 /// interpreter's heap observes same-tick service order).
 pub const WARN_FF_GPP: u32 = 2;
-/// Why a [`TraceKind::Warn`] event fired: `ExecParams::compiled` was
-/// requested but declined because the interconnect model books link/ring
-/// state in arrival order (`NetModel::ORDER_FREE` is false), so a
-/// recorded schedule would not be tick-exact.
-pub const WARN_COMPILE_NET_ORDER: u32 = 3;
-/// Why a [`TraceKind::Warn`] event fired: `ExecParams::compiled` was
-/// requested but declined because a non-stub GPP is attached — real
-/// heap/interpreter state makes timing value-dependent.
-pub const WARN_COMPILE_GPP: u32 = 4;
-/// Why a [`TraceKind::Warn`] event fired: `ExecParams::compiled` was
-/// requested but declined because the run uses data-driven branches
-/// (`BranchMode::Data`); only the scripted oracle modes make control
-/// flow independent of argument values.
-pub const WARN_COMPILE_DATA_MODE: u32 = 5;
-
 /// Every warn code paired with the `MetricsRegistry` counter name it is
 /// folded into by `observe_report` (via the `ExecReport::declined`
 /// bitmask — bit `1 << code`). Keeping the table here, next to the
 /// codes, is what lets declines be counted without an active sink.
-pub const WARN_COUNTERS: [(u32, &str); 5] = [
-    (WARN_FF_NET_ORDER, "warn_ff_net_order"),
-    (WARN_FF_GPP, "warn_ff_gpp"),
-    (WARN_COMPILE_NET_ORDER, "warn_compile_net_order"),
-    (WARN_COMPILE_GPP, "warn_compile_gpp"),
-    (WARN_COMPILE_DATA_MODE, "warn_compile_data_mode"),
-];
+pub const WARN_COUNTERS: [(u32, &str); 2] =
+    [(WARN_FF_NET_ORDER, "warn_ff_net_order"), (WARN_FF_GPP, "warn_ff_gpp")];
 
 /// The `MetricsRegistry` counter name for a warn `arg` code, or `None`
 /// for an unknown code.
@@ -106,17 +83,15 @@ pub enum TraceKind {
     /// A request boarded a slotted ring. `arg` = ring (0 = memory,
     /// 1 = GPP), `data` = station wait ticks, `aux` = queued depth.
     RingBoard = 7,
-    /// A register token passed a watching node (the `JAVAFLOW_TRACE_REG`
-    /// observation). `arg` = register | fired-bit 16 | completed-bit 17,
-    /// `data`/`aux` = [`encode_value`] bits/tag of the carried value.
+    /// A register token passed a watching node. `arg` = register |
+    /// fired-bit 16 | completed-bit 17, `data`/`aux` = [`encode_value`]
+    /// bits/tag of the carried value.
     RegObserve = 8,
-    /// An ordered array store reached real memory (the
-    /// `JAVAFLOW_TRACE_MEM` observation). `arg` = operand count,
+    /// An ordered array store reached real memory. `arg` = operand count,
     /// `data`/`aux` = bits/tag of the stored value.
     MemObserve = 9,
-    /// A diagnostic: see [`WARN_FF_NET_ORDER`] / [`WARN_FF_GPP`] /
-    /// [`WARN_COMPILE_NET_ORDER`] / [`WARN_COMPILE_GPP`] /
-    /// [`WARN_COMPILE_DATA_MODE`] for the `arg` codes.
+    /// A diagnostic: see [`WARN_FF_NET_ORDER`] / [`WARN_FF_GPP`] for the
+    /// `arg` codes.
     Warn = 10,
     /// The run ended. `tick` = final raw tick, `arg` = outcome code
     /// (0 returned / 1 timeout / 2 deadlock / 3 exception), `data` =
@@ -252,68 +227,6 @@ impl TraceSink for RingRecorder {
             self.dropped += 1;
         }
     }
-}
-
-/// The debugging sink behind the `JAVAFLOW_TRACE_REG` /
-/// `JAVAFLOW_TRACE_MEM` environment aliases: prints the selected
-/// observation lines (and every warning) to stderr.
-#[derive(Debug, Clone, Copy)]
-pub struct StderrSink {
-    /// Print [`TraceKind::RegObserve`] lines.
-    pub reg: bool,
-    /// Print [`TraceKind::MemObserve`] lines.
-    pub mem: bool,
-}
-
-impl TraceSink for StderrSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        match ev.kind {
-            TraceKind::RegObserve if self.reg => {
-                let reg = ev.arg & 0xffff;
-                let fired = ev.arg & (1 << 16) != 0;
-                let completed = ev.arg & (1 << 17) != 0;
-                let value = decode_value(ev.aux, ev.data);
-                eprintln!(
-                    "[reg] t={} @{} sees r{reg}={value} (fired={fired} completed={completed})",
-                    ev.tick, ev.node
-                );
-            }
-            TraceKind::MemObserve if self.mem => {
-                let value = decode_value(ev.aux, ev.data);
-                eprintln!(
-                    "[mem] t={} @{} ordered store ({} operands, value {value})",
-                    ev.tick, ev.node, ev.arg
-                );
-            }
-            TraceKind::Warn => {
-                let (what, why) = match ev.arg {
-                    WARN_FF_NET_ORDER => ("fast-forward", "interconnect model is not order-free"),
-                    WARN_FF_GPP => ("fast-forward", "a non-stub GPP is attached"),
-                    WARN_COMPILE_NET_ORDER => {
-                        ("block compilation", "interconnect model is not order-free")
-                    }
-                    WARN_COMPILE_GPP => ("block compilation", "a non-stub GPP is attached"),
-                    WARN_COMPILE_DATA_MODE => {
-                        ("block compilation", "branches are data-driven, not scripted")
-                    }
-                    _ => ("fast-forward", "unknown reason"),
-                };
-                eprintln!("[warn] {what} requested but disabled: {why}");
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Builds the [`StderrSink`] selected by the historical environment
-/// toggles, or `None` when neither is set. Reads the environment on
-/// every call — per-run, not per-process, so a test can flip the
-/// variables between executions.
-#[must_use]
-pub fn env_stderr_sink() -> Option<StderrSink> {
-    let reg = std::env::var_os("JAVAFLOW_TRACE_REG").is_some();
-    let mem = std::env::var_os("JAVAFLOW_TRACE_MEM").is_some();
-    (reg || mem).then_some(StderrSink { reg, mem })
 }
 
 /// Packs mesh coordinates into one event payload field.

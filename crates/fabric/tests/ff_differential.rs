@@ -1,8 +1,8 @@
 //! Differential property tests for the optimized walks: on randomized
 //! synthetic methods (the same generator the evaluation sweep runs), the
-//! skip-index fast-forward and the block-compiled replay must report
-//! exactly the cycle counts, stats, and outcome of the naive per-node
-//! walk, across every configuration and scripted branch mode.
+//! skip-index fast-forward must report exactly the cycle counts, stats,
+//! and outcome of the naive per-node walk, across every configuration and
+//! scripted branch mode.
 //!
 //! Two counter families are exempt from strict equality by design:
 //!
@@ -14,12 +14,6 @@
 //!   walk books each hop as its event is processed; a run that terminates
 //!   with tokens in flight therefore counts a few trailing hops only under
 //!   fast-forward. The fast counters can never be *smaller*.
-//!
-//! The compiled path has a stronger contract than the naive one: the
-//! recording rides whatever walk the caller requested, so a compiled run
-//! (cold record or warm replay) must be *fully* byte-identical to the
-//! plain run with the same `fast_forward` setting — every counter, not
-//! just the observable ones.
 
 use javaflow_fabric::{
     execute, load, BranchMode, ExecParams, ExecReport, FabricConfig, Gpp, SimArena,
@@ -31,7 +25,6 @@ fn run(
     fc: &FabricConfig,
     bp: BranchMode,
     ff: bool,
-    compiled: bool,
 ) -> ExecReport {
     execute(
         loaded,
@@ -42,7 +35,6 @@ fn run(
             gpp: Gpp::Stub,
             args: Vec::new(),
             fast_forward: ff,
-            compiled,
         },
     )
 }
@@ -73,9 +65,8 @@ fn assert_equivalent(fast: &ExecReport, naive: &ExecReport, ctx: &str) {
 }
 
 #[test]
-fn compiled_and_fast_forward_match_naive_walk_on_random_methods() {
+fn fast_forward_matches_naive_walk_on_random_methods() {
     let mut total_skipped = 0u64;
-    let mut total_replays = 0u64;
     for seed in [0x4a56_4d46u64, 0xdead_beef, 0x0ddba11] {
         let (program, ids) = generate(&GenConfig { seed, count: 24, ..GenConfig::default() });
         for config in FabricConfig::all_six() {
@@ -83,50 +74,20 @@ fn compiled_and_fast_forward_match_naive_walk_on_random_methods() {
                 let method = program.method(id);
                 let Ok(loaded) = load(method, &config) else { continue };
                 for bp in [BranchMode::Bp1, BranchMode::Bp2] {
-                    let fast = run(&loaded, &config, bp, true, false);
-                    let naive = run(&loaded, &config, bp, false, false);
+                    let fast = run(&loaded, &config, bp, true);
+                    let naive = run(&loaded, &config, bp, false);
                     let ctx = format!("seed {seed:#x} method {id:?} {} {bp:?}", config.name);
                     assert_equivalent(&fast, &naive, &ctx);
-                    // Cold compiled run: records while riding the
-                    // fast-forward walk, so the report is the FF report.
-                    let cold = run(&loaded, &config, bp, true, true);
-                    assert_eq!(cold, fast, "{ctx}: cold compiled run diverged from fast");
-                    // Warm compiled run: pure schedule replay.
-                    let warm = run(&loaded, &config, bp, true, true);
-                    assert_eq!(warm, fast, "{ctx}: compiled replay diverged from fast");
-                    assert_equivalent(&warm, &naive, &ctx);
                     total_skipped += fast.events_skipped;
-                    total_replays += loaded.compiled.hits();
                 }
             }
         }
     }
     assert!(total_skipped > 0, "fast-forward never skipped a single event");
-    assert!(total_replays > 0, "the compiled cache never replayed a schedule");
-}
-
-/// The compiled replay must also be bit-identical to the *naive* walk
-/// when the recording rode a `fast_forward: false` run — the schedule
-/// captures whichever walk was requested, counters and all.
-#[test]
-fn compiled_replay_matches_the_walk_it_recorded() {
-    let (program, ids) = generate(&GenConfig { seed: 0xb10c, count: 12, ..GenConfig::default() });
-    let config = FabricConfig::compact2();
-    for &id in &ids {
-        let method = program.method(id);
-        let Ok(loaded) = load(method, &config) else { continue };
-        for ff in [false, true] {
-            let plain = run(&loaded, &config, BranchMode::Bp2, ff, false);
-            let cold = run(&loaded, &config, BranchMode::Bp2, ff, true);
-            let warm = run(&loaded, &config, BranchMode::Bp2, ff, true);
-            assert_eq!(cold, plain, "method {id:?} ff={ff}: cold run diverged");
-            assert_eq!(warm, plain, "method {id:?} ff={ff}: replay diverged");
-        }
-    }
 }
 
 /// The arena-reusing entry point (the sweep's hot path) must behave the
-/// same as the fresh-arena one under fast-forward and compiled replay.
+/// same as the fresh-arena one under fast-forward, run after run.
 #[test]
 fn fast_forward_is_stable_under_arena_reuse() {
     let (program, ids) = generate(&GenConfig { count: 6, ..GenConfig::default() });
@@ -135,20 +96,19 @@ fn fast_forward_is_stable_under_arena_reuse() {
     for &id in &ids {
         let method = program.method(id);
         let Ok(loaded) = load(method, &config) else { continue };
-        let fresh = run(&loaded, &config, BranchMode::Bp1, true, false);
-        for compiled in [false, true, true] {
+        let fresh = run(&loaded, &config, BranchMode::Bp1, true);
+        for pass in 0..3 {
             let reused = javaflow_fabric::execute_in(
                 &loaded,
                 &config,
                 ExecParams {
                     mode: BranchMode::Bp1,
                     max_mesh_cycles: 250_000,
-                    compiled,
                     ..ExecParams::default()
                 },
                 &mut arena,
             );
-            assert_eq!(fresh, reused, "arena reuse changed a report (compiled={compiled})");
+            assert_eq!(fresh, reused, "arena reuse changed a report (pass {pass})");
         }
     }
 }

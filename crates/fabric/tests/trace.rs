@@ -5,10 +5,7 @@
 
 use javaflow_bytecode::{asm, Value};
 use javaflow_fabric::net::NetKind;
-use javaflow_fabric::trace::{
-    WARN_COMPILE_DATA_MODE, WARN_COMPILE_GPP, WARN_COMPILE_NET_ORDER, WARN_FF_GPP,
-    WARN_FF_NET_ORDER,
-};
+use javaflow_fabric::trace::{WARN_FF_GPP, WARN_FF_NET_ORDER};
 use javaflow_fabric::{
     execute, execute_with_sink, load, BranchMode, ExecParams, FabricConfig, Gpp, RingRecorder,
     SimArena, TraceKind,
@@ -135,81 +132,4 @@ fn declined_fast_forward_warns_gpp() {
     let warns: Vec<u32> =
         rec.events().iter().filter(|e| e.kind == TraceKind::Warn).map(|e| e.arg).collect();
     assert_eq!(warns, [WARN_FF_GPP], "expected exactly one gpp warn");
-}
-
-/// A declined block compilation names every reason, mirroring the
-/// `WARN_FF_*` convention: a contended net warns net-order; a data-mode
-/// run on a live interpreter warns both the GPP and the branch mode.
-#[test]
-fn declined_compilation_warns_each_reason() {
-    let (program, id) = hotspot();
-    let method = program.method(id);
-    let config = FabricConfig::compact2().with_net(NetKind::Contended);
-    let loaded = load(method, &config).expect("hotspot loads");
-    let mut rec = RingRecorder::with_capacity(1 << 19);
-    execute_with_sink(
-        &loaded,
-        &config,
-        ExecParams { compiled: true, ..params(false) },
-        &mut SimArena::new(),
-        &mut rec,
-    );
-    let warns: Vec<u32> =
-        rec.events().iter().filter(|e| e.kind == TraceKind::Warn).map(|e| e.arg).collect();
-    assert_eq!(warns, [WARN_COMPILE_NET_ORDER], "expected exactly one compile net-order warn");
-
-    let program = asm::assemble(
-        ".method triple args=1 returns=true locals=1
-           iload 0
-           iconst_3
-           imul
-           ireturn
-         .end",
-    )
-    .unwrap();
-    let (_, method) = program.method_by_name("triple").unwrap();
-    let config = FabricConfig::compact2();
-    let loaded = load(method, &config).expect("triple loads");
-    let mut gpp = Interp::new(&program);
-    let mut rec = RingRecorder::with_capacity(1 << 16);
-    execute_with_sink(
-        &loaded,
-        &config,
-        ExecParams {
-            mode: BranchMode::Data,
-            gpp: Gpp::Interp(&mut gpp),
-            args: vec![Value::Int(14)],
-            compiled: true,
-            fast_forward: false,
-            ..ExecParams::default()
-        },
-        &mut SimArena::new(),
-        &mut rec,
-    );
-    let warns: Vec<u32> =
-        rec.events().iter().filter(|e| e.kind == TraceKind::Warn).map(|e| e.arg).collect();
-    assert_eq!(
-        warns,
-        [WARN_COMPILE_GPP, WARN_COMPILE_DATA_MODE],
-        "expected the gpp and data-mode compile warns"
-    );
-
-    // Not requested ⇒ nothing to warn about (an eligible traced run
-    // declines silently: the sink forcing the naive walk is not semantic).
-    let mut quiet = RingRecorder::with_capacity(1 << 19);
-    let (program, id) = hotspot();
-    let method = program.method(id);
-    let ideal = FabricConfig::compact2();
-    let loaded = load(method, &ideal).expect("hotspot loads");
-    execute_with_sink(
-        &loaded,
-        &ideal,
-        ExecParams { compiled: true, ..params(false) },
-        &mut SimArena::new(),
-        &mut quiet,
-    );
-    assert!(
-        quiet.events().iter().all(|e| e.kind != TraceKind::Warn),
-        "an eligible compiled run declined by the sink must not warn"
-    );
 }

@@ -11,7 +11,7 @@
 //! * **Admission on second sight.** A finished sweep is only stored if
 //!   its key is already in a short ring of recently swept keys, so
 //!   one-off keys never hold memory; the first sweep of a key only
-//!   records that it was seen.
+//!   records that it was seen, and how long it took.
 //! * **Bounded twice.** Entries are capped in number and in the total
 //!   samples they hold (a sample is the unit of a sweep's memory); the
 //!   least recently used entry is evicted until a new one fits, and an
@@ -22,6 +22,7 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Arc;
+use std::time::Duration;
 
 use javaflow_core::Evaluation;
 
@@ -39,8 +40,9 @@ pub const SEEN_KEYS: usize = 16;
 pub struct ResultCache<K> {
     /// Least recently used first.
     entries: VecDeque<(K, Arc<Evaluation>)>,
-    /// Keys swept once and not (yet) admitted, oldest first.
-    seen: VecDeque<K>,
+    /// Keys swept once and not (yet) admitted, oldest first, with how
+    /// long that sweep took.
+    seen: VecDeque<(K, Duration)>,
     samples: usize,
     max_entries: usize,
     max_samples: usize,
@@ -78,16 +80,37 @@ impl<K: PartialEq> ResultCache<K> {
         Some(eval)
     }
 
+    /// Whether `key` is stored, without counting a lookup or touching
+    /// its recency.
+    #[must_use]
+    pub fn contains(&self, key: &K) -> bool {
+        self.entries.iter().any(|(k, _)| k == key)
+    }
+
+    /// How long the sweep of a key swept once and not yet stored took:
+    /// `Some` exactly when that key's next completed sweep is offered for
+    /// storage.
+    #[must_use]
+    pub fn first_sweep_time(&self, key: &K) -> Option<Duration> {
+        self.seen.iter().find(|(k, _)| k == key).map(|&(_, took)| took)
+    }
+
     /// Offers a freshly swept evaluation. The first offer of a key only
     /// remembers it; a second offer while the key is still remembered
     /// stores the evaluation, evicting least recently used entries until
     /// both bounds hold. Returns whether it was stored.
     pub fn offer(&mut self, key: K, eval: &Arc<Evaluation>) -> bool {
-        let Some(i) = self.seen.iter().position(|k| *k == key) else {
+        self.offer_timed(key, eval, Duration::ZERO)
+    }
+
+    /// [`ResultCache::offer`] for a sweep that took `took`; a first offer
+    /// remembers it for [`ResultCache::first_sweep_time`].
+    pub fn offer_timed(&mut self, key: K, eval: &Arc<Evaluation>, took: Duration) -> bool {
+        let Some(i) = self.seen.iter().position(|(k, _)| *k == key) else {
             if self.seen.len() == SEEN_KEYS {
                 self.seen.pop_front();
             }
-            self.seen.push_back(key);
+            self.seen.push_back((key, took));
             return false;
         };
         let n = eval.samples.len();

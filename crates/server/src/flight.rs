@@ -22,7 +22,7 @@ use crate::span::{RequestSpan, OUTCOME_CLIENT_GONE, PHASE_NAMES};
 pub enum FlightEntry {
     /// A request that reached its terminal point.
     Span(RequestSpan),
-    /// `count` fast-forward / compile gating declines of kind `code`
+    /// `count` fast-forward gating declines of kind `code`
     /// (a `javaflow_fabric::trace::WARN_*` value) in one sweep.
     Warn {
         /// µs since the server epoch when the sweep finished.

@@ -13,9 +13,10 @@
 //! `load_gen` exercises exactly that equivalence via
 //! [`expected_batch_payloads`].
 
+use std::fmt::Write as _;
 use std::io::{IoSlice, Read, Write};
 
-use javaflow_analysis::report_json::{exec_report_json, json_escape};
+use javaflow_analysis::report_json::{json_escape, push_exec_report, push_json_escaped};
 use javaflow_core::{EvalConfig, Evaluation, MethodRecord, MethodStatics, Sample};
 use javaflow_fabric::NetKind;
 
@@ -182,10 +183,6 @@ pub struct SweepRequest {
     pub threads: Option<usize>,
     /// Token-walk fast-forwarding.
     pub fast_forward: bool,
-    /// Block-compiled execution: replay cached AOT schedules where
-    /// eligible. Part of the coalescing key — compiled and interpreted
-    /// sweeps never share a run.
-    pub compiled: bool,
     /// Chapter 7 tables to render into the final `done` frame.
     pub tables: Vec<u32>,
     /// Per-request deadline in milliseconds; 0 = none. An expired sweep
@@ -264,12 +261,12 @@ pub fn parse_request(payload: &[u8], defaults: &EvalConfig) -> Result<Request, R
                     .as_bool()
                     .ok_or_else(|| RequestError::bad(id, "`fast_forward` must be a bool"))?,
             };
-            let compiled = match j.get("compiled") {
-                None | Some(Json::Null) => defaults.compiled,
-                Some(v) => {
-                    v.as_bool().ok_or_else(|| RequestError::bad(id, "`compiled` must be a bool"))?
-                }
-            };
+            // Accepted and ignored: block-compiled replay is gone (the
+            // result cache serves repeats), but old clients still send it.
+            match j.get("compiled") {
+                None | Some(Json::Null) | Some(Json::Bool(_)) => {}
+                Some(_) => return Err(RequestError::bad(id, "`compiled` must be a bool")),
+            }
             let tables = match j.get("tables") {
                 None | Some(Json::Null) => Vec::new(),
                 Some(v) => {
@@ -298,7 +295,6 @@ pub fn parse_request(payload: &[u8], defaults: &EvalConfig) -> Result<Request, R
                 net,
                 threads,
                 fast_forward,
-                compiled,
                 tables,
                 deadline_ms,
             }))
@@ -319,21 +315,20 @@ pub fn batch_records_json<'a>(
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&format!(
-            "{{\"record\": {ri}, \"name\": \"{}\", \"samples\": [",
-            json_escape(name)
-        ));
+        let _ = write!(out, "{{\"record\": {ri}, \"name\": \"");
+        push_json_escaped(&mut out, name);
+        out.push_str("\", \"samples\": [");
         for (k, s) in samples.iter().enumerate() {
             if k > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!(
-                "{{\"config\": {}, \"bp\": \"{:?}\", \"ok\": {}, \"report\": {}}}",
-                s.config,
-                s.bp,
-                s.ok,
-                exec_report_json(&s.report),
-            ));
+            let _ = write!(
+                out,
+                "{{\"config\": {}, \"bp\": \"{:?}\", \"ok\": {}, \"report\": ",
+                s.config, s.bp, s.ok,
+            );
+            push_exec_report(&mut out, &s.report);
+            out.push('}');
         }
         out.push_str("]}");
     }
@@ -512,13 +507,18 @@ mod tests {
         assert_eq!(s.net, d.net);
         assert_eq!(s.threads, None);
         assert!(s.fast_forward);
-        assert!(!s.compiled, "compiled defaults off, like EvalConfig");
         assert!(s.tables.is_empty());
         assert_eq!(s.deadline_ms, 0);
+    }
 
-        let r = parse_request(b"{\"kind\": \"sweep\", \"id\": 4, \"compiled\": true}", &d).unwrap();
-        let Request::Sweep(s) = r else { panic!("expected sweep") };
-        assert!(s.compiled);
+    #[test]
+    fn compiled_is_accepted_and_ignored() {
+        let d = EvalConfig::default();
+        let plain = parse_request(b"{\"kind\": \"sweep\", \"id\": 4}", &d).unwrap();
+        for flag in ["true", "false", "null"] {
+            let text = format!("{{\"kind\": \"sweep\", \"id\": 4, \"compiled\": {flag}}}");
+            assert_eq!(parse_request(text.as_bytes(), &d).unwrap(), plain, "compiled={flag}");
+        }
     }
 
     #[test]

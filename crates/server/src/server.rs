@@ -6,7 +6,9 @@
 //! compatible queued requests (same [`SweepKey`]) are coalesced into a
 //! single shared sweep whose batch frames fan out to every subscriber.
 //! A group whose key is in the bounded [`ResultCache`] streams from the
-//! stored evaluation instead, through the same frame path.
+//! stored evaluation instead, through the same frame path; such groups
+//! are also served between a running sweep's batches, so they never wait
+//! behind it, and so is a repeated key's shorter admitting sweep.
 //! Shutdown is a drain: no new sweeps are admitted (`503`), everything
 //! already queued streams to completion, then the threads exit.
 //!
@@ -117,11 +119,6 @@ pub(crate) struct SweepKey {
     pub(crate) max_mesh_cycles: u64,
     pub(crate) net_contended: bool,
     pub(crate) fast_forward: bool,
-    /// Execution backend: block-compiled replay vs the interpreted walk.
-    /// Reports are bit-identical either way, but the backend is part of
-    /// the contract a subscriber asked for — compiled and interpreted
-    /// sweeps never coalesce onto one shared run.
-    pub(crate) compiled: bool,
 }
 
 impl SweepKey {
@@ -131,19 +128,17 @@ impl SweepKey {
             max_mesh_cycles: req.max_mesh_cycles,
             net_contended: req.net == NetKind::Contended,
             fast_forward: req.fast_forward,
-            compiled: req.compiled,
         }
     }
 
     /// Prometheus label set for the per-key sweep counter.
     pub(crate) fn prom_labels(&self) -> String {
         format!(
-            "synthetic=\"{}\",max_mesh_cycles=\"{}\",net=\"{}\",fast_forward=\"{}\",compiled=\"{}\"",
+            "synthetic=\"{}\",max_mesh_cycles=\"{}\",net=\"{}\",fast_forward=\"{}\"",
             self.synthetic,
             self.max_mesh_cycles,
             if self.net_contended { "contended" } else { "ideal" },
             self.fast_forward,
-            self.compiled,
         )
     }
 }
@@ -651,7 +646,6 @@ fn handle_request(
             span.max_mesh_cycles = req.max_mesh_cycles;
             span.net_contended = req.net == NetKind::Contended;
             span.fast_forward = req.fast_forward;
-            span.compiled = req.compiled;
             admit(shared, writer, req, span);
         }
     }
@@ -715,17 +709,7 @@ fn sweeper_loop(shared: &Arc<Shared>) {
         let group: Vec<Job> = {
             let mut q = shared.queue.lock().expect("queue lock");
             loop {
-                if let Some(first) = q.pop_front() {
-                    let key = first.key.clone();
-                    let mut group = vec![first];
-                    let mut i = 0;
-                    while i < q.len() {
-                        if q[i].key == key {
-                            group.extend(q.remove(i));
-                        } else {
-                            i += 1;
-                        }
-                    }
+                if let Some(group) = pop_group(&mut q) {
                     break group;
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -737,8 +721,82 @@ fn sweeper_loop(shared: &Arc<Shared>) {
             }
         };
         shared.in_flight.store(group.len(), Ordering::SeqCst);
-        run_group(shared, group);
+        run_group(shared, group, false);
         shared.in_flight.store(0, Ordering::SeqCst);
+    }
+}
+
+/// Pops the oldest job and every queued job with the same key.
+fn pop_group(q: &mut VecDeque<Job>) -> Option<Vec<Job>> {
+    take_group(q, 0)
+}
+
+/// Takes the job at `i` and every later queued job with the same key.
+fn take_group(q: &mut VecDeque<Job>, i: usize) -> Option<Vec<Job>> {
+    let first = q.remove(i)?;
+    let mut group = vec![first];
+    let mut j = i;
+    while j < q.len() {
+        if q[j].key == group[0].key {
+            group.extend(q.remove(j));
+        } else {
+            j += 1;
+        }
+    }
+    Some(group)
+}
+
+/// Runs `group` between the batches of the sweeper's current sweep,
+/// counted in the in-flight gauge alongside it.
+fn run_nested(shared: &Arc<Shared>, group: Vec<Job>) {
+    let n = group.len();
+    shared.in_flight.fetch_add(n, Ordering::SeqCst);
+    run_group(shared, group, true);
+    shared.in_flight.fetch_sub(n, Ordering::SeqCst);
+}
+
+/// Serves, from the result cache, every queued job whose key is stored
+/// there; the sweeper calls it between a sweep's batches, so a request
+/// that needs no simulation never waits out a whole sweep. Only jobs
+/// queued at the call are taken, so a stream of hits cannot stall the
+/// sweep that called it.
+fn serve_waiting_hits(shared: &Arc<Shared>) {
+    let mut hits = VecDeque::new();
+    {
+        let mut q = shared.queue.lock().expect("queue lock");
+        let results = shared.results.lock().expect("results lock");
+        let mut i = 0;
+        while i < q.len() {
+            if results.contains(&q[i].key) {
+                hits.extend(q.remove(i));
+            } else {
+                i += 1;
+            }
+        }
+    }
+    while let Some(group) = pop_group(&mut hits) {
+        run_nested(shared, group);
+    }
+}
+
+/// Runs, ahead of the rest of the running sweep (key `running`), the
+/// oldest waiting group whose key is due to be stored and whose first
+/// sweep took less than the `remaining` time the running sweep expects
+/// to need: shortest remaining work first, so a short sweep that turns
+/// every later request for its key into a hit does not wait out a long
+/// one. Keys seen for the first time never go ahead.
+fn run_shorter_admitting_sweep(shared: &Arc<Shared>, running: &SweepKey, remaining: Duration) {
+    let group = {
+        let mut q = shared.queue.lock().expect("queue lock");
+        let results = shared.results.lock().expect("results lock");
+        let shorter = q.iter().position(|j| {
+            j.key != *running && results.first_sweep_time(&j.key).is_some_and(|t| t < remaining)
+        });
+        drop(results);
+        shorter.and_then(|i| take_group(&mut q, i))
+    };
+    if let Some(group) = group {
+        run_nested(shared, group);
     }
 }
 
@@ -753,8 +811,9 @@ struct Sub {
 /// stored there, otherwise by sweeping. Both paths stream through
 /// [`stream_batch`] and finish through [`finish_group`], so a cached
 /// response has the same frames, deadline checks, and disconnect
-/// handling as a swept one.
-fn run_group(shared: &Arc<Shared>, mut group: Vec<Job>) {
+/// handling as a swept one. A `nested` group runs between the batches of
+/// another sweep and lets no further sweep go ahead of its own.
+fn run_group(shared: &Arc<Shared>, mut group: Vec<Job>, nested: bool) {
     let coalesced = group.len() > 1;
     {
         let picked_up = Instant::now();
@@ -798,18 +857,27 @@ fn run_group(shared: &Arc<Shared>, mut group: Vec<Job>) {
         }
         eval
     } else {
-        let Some(eval) = sweep(shared, &key, &mut subs) else { return };
+        let Some(eval) = sweep(shared, &key, &mut subs, nested) else { return };
         eval
     };
     finish_group(shared, &mut subs, &eval, coalesced);
 }
 
 /// Prepares (or fetches) the population and sweeps it for `key`,
-/// streaming every batch to `subs` as it completes. A finished sweep is
-/// folded into the simulation registry, counted against its key, and
-/// offered to the result cache; `None` means every subscriber left and
-/// the sweep was cancelled.
-fn sweep(shared: &Arc<Shared>, key: &SweepKey, subs: &mut [Sub]) -> Option<Arc<Evaluation>> {
+/// streaming every batch to `subs` as it completes. Between batches the
+/// sweeper serves waiting cache hits and, unless this sweep is itself
+/// `nested`, a shorter admitting sweep
+/// ([`run_shorter_admitting_sweep`]) while less time has passed than its
+/// own key's first sweep took. A finished sweep is folded into the
+/// simulation registry, counted against its key, and offered to the
+/// result cache with the time it took itself; `None` means every
+/// subscriber left and the sweep was cancelled.
+fn sweep(
+    shared: &Arc<Shared>,
+    key: &SweepKey,
+    subs: &mut [Sub],
+    nested: bool,
+) -> Option<Arc<Evaluation>> {
     shared.metrics.lock().expect("metrics lock").sweeps += 1;
     let prepare_started = Instant::now();
     let pop = {
@@ -828,11 +896,17 @@ fn sweep(shared: &Arc<Shared>, key: &SweepKey, subs: &mut [Sub]) -> Option<Arc<E
         max_mesh_cycles: key.max_mesh_cycles,
         net: if key.net_contended { NetKind::Contended } else { NetKind::Ideal },
         fast_forward: key.fast_forward,
-        compiled: key.compiled,
         threads,
         ..EvalConfig::default()
     };
     let records = pop.records();
+    let started = Instant::now();
+    let expected = if nested {
+        None
+    } else {
+        shared.results.lock().expect("results lock").first_sweep_time(key)
+    };
+    let mut gave_way = Duration::ZERO;
     let mut exec_mark = Instant::now();
     let eval = pop.evaluate_batched(&cfg, shared.cfg.batch_records, |first, results| {
         let exec_dur = exec_mark.elapsed();
@@ -840,6 +914,12 @@ fn sweep(shared: &Arc<Shared>, key: &SweepKey, subs: &mut [Sub]) -> Option<Arc<E
             sub.job.span.add_phase(PHASE_EXECUTE, exec_dur);
         }
         let any_alive = stream_batch(shared, subs, first, &batch_payload(records, first, results));
+        let others = Instant::now();
+        serve_waiting_hits(shared);
+        if let Some(expected) = expected {
+            run_shorter_admitting_sweep(shared, key, expected.saturating_sub(started.elapsed()));
+        }
+        gave_way += others.elapsed();
         exec_mark = Instant::now();
         // No live subscribers left → cancel the sweep at this boundary.
         any_alive
@@ -861,7 +941,8 @@ fn sweep(shared: &Arc<Shared>, key: &SweepKey, subs: &mut [Sub]) -> Option<Arc<E
         }
     }
     let eval = Arc::new(eval);
-    shared.results.lock().expect("results lock").offer(key.clone(), &eval);
+    let took = started.elapsed().saturating_sub(gave_way);
+    shared.results.lock().expect("results lock").offer_timed(key.clone(), &eval, took);
     Some(eval)
 }
 

@@ -71,8 +71,6 @@ pub struct RequestSpan {
     pub net_contended: bool,
     /// Sweep key: token-walk fast-forwarding.
     pub fast_forward: bool,
-    /// Sweep key: block-compiled execution.
-    pub compiled: bool,
 }
 
 /// Saturating `Duration` → µs (the histograms are `u64`).
@@ -122,12 +120,11 @@ impl RequestSpan {
         ));
         if self.kind == b's' {
             out.push_str(&format!(
-                ",\"synthetic\":{},\"max_mesh_cycles\":{},\"net\":\"{}\",\"fast_forward\":{},\"compiled\":{},\"coalesced\":{},\"cached\":{},\"batches\":{},\"bytes_streamed\":{}",
+                ",\"synthetic\":{},\"max_mesh_cycles\":{},\"net\":\"{}\",\"fast_forward\":{},\"coalesced\":{},\"cached\":{},\"batches\":{},\"bytes_streamed\":{}",
                 self.synthetic,
                 self.max_mesh_cycles,
                 if self.net_contended { "contended" } else { "ideal" },
                 self.fast_forward,
-                self.compiled,
                 self.coalesced,
                 self.cached,
                 self.batches,

@@ -1,6 +1,7 @@
 //! The result cache over real sockets: a repeated key streams the same
 //! bytes as an in-process run, one-off keys are never stored, a hit runs
-//! no simulation, and a hit ends in `504` or client-gone exactly as a
+//! no simulation, a hit or a shorter admitting sweep never waits out a
+//! running sweep, and a hit ends in `504` or client-gone exactly as a
 //! sweep does. Plus the cache's own admission and eviction rules.
 
 use std::io::{Read, Write};
@@ -187,6 +188,115 @@ fn a_hit_runs_no_simulation() {
     server.join().expect("join");
 }
 
+/// A hit queued behind a sweep is served between that sweep's batches:
+/// its `done` arrives while the sweep is still streaming, with the same
+/// bytes as an in-process run.
+#[test]
+fn a_hit_is_served_between_the_batches_of_a_running_sweep() {
+    let server =
+        Server::start(ServerConfig { batch_records: 1, threads: 1, ..ServerConfig::default() })
+            .expect("start");
+    let cfg = EvalConfig {
+        synthetic_count: 2,
+        max_mesh_cycles: 150_000,
+        threads: 1,
+        ..EvalConfig::default()
+    };
+    let eval = Evaluation::run(&cfg);
+    let batches = expected_batch_payloads(&eval, 1);
+
+    let mut conn = connect(&server);
+    for id in 1..=2u64 {
+        send(&mut conn, &sweep_json(id, 2, 150_000, ""));
+        read_sweep(&mut conn, id);
+    }
+    // A sixteen-batch miss, then a hit right behind it.
+    send(&mut conn, &sweep_json(3, 16, 150_001, BIG));
+    send(&mut conn, &sweep_json(4, 2, 150_000, ""));
+    let (mut long_batches_after_hit, mut hit_frames, mut hit_done) = (0, Vec::new(), false);
+    loop {
+        let frame = recv(&mut conn);
+        if frame.starts_with("{\"type\": \"accepted\"") {
+            continue;
+        }
+        if frame.contains("\"id\": 4,") {
+            hit_done = frame.starts_with("{\"type\": \"done\"");
+            hit_frames.push(frame);
+        } else if frame.starts_with("{\"type\": \"done\", \"id\": 3,") {
+            break;
+        } else if hit_done {
+            assert!(frame.starts_with("{\"type\": \"batch\", \"id\": 3,"), "{frame}");
+            long_batches_after_hit += 1;
+        }
+    }
+    assert!(hit_done, "the hit finished before the sweep it queued behind");
+    assert!(long_batches_after_hit > 0, "the sweep streamed on after the hit");
+    assert_eq!(hit_frames.len(), batches.len() + 1);
+    for (seq, (lo, payload)) in batches.iter().enumerate() {
+        assert_eq!(hit_frames[seq], batch_frame(4, seq, *lo, payload), "batch {seq}");
+    }
+    assert_eq!(hit_frames[batches.len()], done_frame(4, &eval, false, &[]));
+    let m = metrics(&mut conn);
+    assert_eq!(num(&m, "result_cache", "hits"), 1);
+    assert_eq!(num(&m, "server", "sweeps"), 3);
+    assert_eq!(num(&m, "server", "completed"), 4);
+    server.request_shutdown();
+    server.join().expect("join");
+}
+
+/// Reads frames until every id in `ids` has its `done`; returns the ids
+/// in the order their `done` frames arrived.
+fn done_order(conn: &mut impl Read, ids: &[u64]) -> Vec<u64> {
+    let mut order = Vec::new();
+    while order.len() < ids.len() {
+        let frame = recv(conn);
+        if let Some(&id) =
+            ids.iter().find(|id| frame.starts_with(&format!("{{\"type\": \"done\", \"id\": {id},")))
+        {
+            order.push(id);
+        } else {
+            assert!(!frame.starts_with("{\"type\": \"error\""), "{frame}");
+        }
+    }
+    order
+}
+
+/// A key due to be stored whose first sweep was short runs between the
+/// batches of a long sweep queued ahead of it; a key seen for the first
+/// time waits its turn.
+#[test]
+fn a_shorter_admitting_sweep_goes_ahead_of_a_long_one() {
+    let server =
+        Server::start(ServerConfig { batch_records: 1, threads: 1, ..ServerConfig::default() })
+            .expect("start");
+    let (short, long) = (sweep_json(0, 2, 150_000, ""), sweep_json(0, 16, 150_001, BIG));
+    let with_id = |json: &str, id: u64| json.replacen("\"id\": 0", &format!("\"id\": {id}"), 1);
+    let mut conn = connect(&server);
+    // First sights: each key's sweep time is remembered.
+    for (id, json) in [(1, &short), (2, &long)] {
+        send(&mut conn, &with_id(json, id));
+        read_sweep(&mut conn, id);
+    }
+    // Second sights, the long one first: the short one finishes first.
+    send(&mut conn, &with_id(&long, 3));
+    send(&mut conn, &with_id(&short, 4));
+    assert_eq!(done_order(&mut conn, &[3, 4]), [4, 3]);
+    // Both are stored now; the short one's admitting sweep ran nested.
+    send(&mut conn, &with_id(&short, 5));
+    read_sweep(&mut conn, 5);
+    let m = metrics(&mut conn);
+    assert_eq!(num(&m, "server", "sweeps"), 4);
+    assert_eq!(num(&m, "result_cache", "hits"), 1);
+    assert_eq!(num(&m, "result_cache", "entries"), 2);
+
+    // First sights never go ahead.
+    send(&mut conn, &sweep_json(6, 16, 150_002, BIG));
+    send(&mut conn, &sweep_json(7, 2, 150_003, ""));
+    assert_eq!(done_order(&mut conn, &[6, 7]), [6, 7]);
+    server.request_shutdown();
+    server.join().expect("join");
+}
+
 /// A server on a Unix socket, whose small fixed send buffer makes a
 /// client that stops reading block the sweeper mid-stream. The key's
 /// response (contended link reports, one record per batch, ~3.8 MB) is
@@ -353,4 +463,56 @@ fn admission_forgets_keys_that_fall_out_of_the_recent_ring() {
     assert!(!cache.offer(0, &eval), "key 0 was forgotten, so this is a first sight again");
     assert!(cache.offer(0, &eval));
     assert_eq!(cache.len(), 1);
+}
+
+/// `"compiled"` is accepted and ignored: requests that differ only in it
+/// share one `SweepKey`, so the third of them is a cache hit, every one
+/// streams the in-process bytes, and a non-bool is still a `400`.
+#[test]
+fn compiled_true_and_false_share_one_key() {
+    let server = Server::start(ServerConfig {
+        batch_records: 2,
+        metrics_addr: Some("127.0.0.1:0".into()),
+        ..ServerConfig::default()
+    })
+    .expect("start");
+    let cfg = EvalConfig {
+        synthetic_count: 2,
+        max_mesh_cycles: 150_000,
+        threads: 1,
+        ..EvalConfig::default()
+    };
+    let eval = Evaluation::run(&cfg);
+    let batches = expected_batch_payloads(&eval, 2);
+
+    let mut conn = connect(&server);
+    for (id, compiled) in [(1u64, "true"), (2, "false"), (3, "true")] {
+        let extra = format!(", \"compiled\": {compiled}, \"tables\": [22]");
+        send(&mut conn, &sweep_json(id, 2, 150_000, &extra));
+        let frames = read_sweep(&mut conn, id);
+        assert_eq!(frames.len(), batches.len() + 1, "request {id}");
+        for (seq, (lo, payload)) in batches.iter().enumerate() {
+            assert_eq!(frames[seq], batch_frame(id, seq, *lo, payload), "request {id} batch {seq}");
+        }
+        assert_eq!(frames[batches.len()], done_frame(id, &eval, false, &[22]), "request {id}");
+    }
+    let m = metrics(&mut conn);
+    assert_eq!(num(&m, "result_cache", "misses"), 2);
+    assert_eq!(num(&m, "result_cache", "hits"), 1, "the second sight admitted the shared key");
+    assert_eq!(num(&m, "result_cache", "entries"), 1);
+    assert_eq!(num(&m, "server", "sweeps"), 2);
+
+    let page = http_get(server.metrics_addr().expect("sidecar"), "/metrics");
+    let keys: Vec<&str> =
+        page.lines().filter(|l| l.starts_with("javaflow_server_sweeps_by_key_total{")).collect();
+    assert_eq!(
+        keys,
+        ["javaflow_server_sweeps_by_key_total{synthetic=\"2\",max_mesh_cycles=\"150000\",net=\"ideal\",fast_forward=\"true\"} 2"],
+        "{page}"
+    );
+
+    send(&mut conn, &sweep_json(9, 2, 150_000, ", \"compiled\": \"yes\""));
+    assert_eq!(recv(&mut conn), error_frame(9, 400, "`compiled` must be a bool"));
+    server.request_shutdown();
+    server.join().expect("join");
 }

@@ -141,7 +141,6 @@ fn sha1_block_co_simulates_on_the_fabric() {
             args: vec![st_f, w_f],
             max_mesh_cycles: 5_000_000,
             fast_forward: true,
-            compiled: false,
         },
     );
     assert!(matches!(report.outcome, Outcome::Returned(None)), "{:?}", report.outcome);

@@ -169,7 +169,6 @@ fn fabric_matches_interpreter_on_generated_programs() {
                     args: args.to_vec(),
                     max_mesh_cycles: 2_000_000,
                     fast_forward: true,
-                    compiled: false,
                 },
             );
             match &report.outcome {
