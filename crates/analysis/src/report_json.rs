@@ -165,7 +165,7 @@ pub fn push_exec_report(out: &mut String, r: &ExecReport) {
     push_f64(out, r.frac_cycles_ge1);
     let _ = write!(
         out,
-        ", \"serial_msgs\": {}, \"mesh_msgs\": {}, \"events\": {}, \"events_skipped\": {}, \"class_fires\": [{}, {}, {}, {}], \"wheel_high_water\": {}, \"wheel_pushes\": {}, \"declined\": {}, \"net\": ",
+        ", \"serial_msgs\": {}, \"mesh_msgs\": {}, \"events\": {}, \"events_skipped\": {}, \"class_fires\": [{}, {}, {}, {}], \"wheel_high_water\": {}, \"wheel_pushes\": {}, \"net\": ",
         r.serial_msgs,
         r.mesh_msgs,
         r.events,
@@ -176,7 +176,6 @@ pub fn push_exec_report(out: &mut String, r: &ExecReport) {
         r.class_fires[3],
         r.wheel_high_water,
         r.wheel_pushes,
-        r.declined,
     );
     match r.net.as_deref() {
         Some(n) => push_net_report(out, n),
@@ -254,14 +253,13 @@ mod tests {
             class_fires: [1, 2, 3, 4],
             wheel_high_water: 11,
             wheel_pushes: 12,
-            declined: 0,
             net: None,
         };
         let json = rendered(push_exec_report, &r);
         assert!(json.starts_with("{\"outcome\": \"Timeout\", \"mesh_cycles\": 10"));
         assert!(json.contains("\"ipc\": null"), "NaN must serialize as null: {json}");
         assert!(json.contains("\"class_fires\": [1, 2, 3, 4]"));
-        assert!(json.ends_with("\"declined\": 0, \"net\": null}"));
+        assert!(json.ends_with("\"wheel_pushes\": 12, \"net\": null}"));
     }
 
     #[test]

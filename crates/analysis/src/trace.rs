@@ -11,14 +11,14 @@
 //!
 //! Two live counters are deliberately *not* replayable and are skipped by
 //! [`verify_replay`]: `events` (scheduler pops are an engine artifact, not
-//! a semantic quantity) and `events_skipped` / `wheel_*` (fast-forward
-//! bookkeeping; an active sink forces the naive walk anyway).
+//! a semantic quantity) and `events_skipped` / `wheel_*` (scheduler
+//! bookkeeping).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use javaflow_fabric::net::{NetReport, NodeNetStat, RingReport};
-use javaflow_fabric::trace::{decode_value, unpack_coords, WARN_FF_GPP, WARN_FF_NET_ORDER};
+use javaflow_fabric::trace::{decode_value, unpack_coords};
 use javaflow_fabric::{ExecReport, Outcome, TraceEvent, TraceKind};
 
 /// An [`ExecReport`] reconstructed purely from a recorded event stream.
@@ -48,10 +48,6 @@ pub struct Replay {
     pub mesh_msgs: u64,
     /// Fires per timing class.
     pub class_fires: [u64; 4],
-    /// Semantic fast-forward decline bitmask, reconstructed
-    /// from the recorded `Warn` events (bit `1 << code`) — mirrors
-    /// `ExecReport::declined`.
-    pub declined: u8,
     /// Link statistics, reconstructed when the run was contended.
     pub net: Option<NetReport>,
 }
@@ -79,7 +75,6 @@ pub fn replay(events: &[TraceEvent]) -> Result<Replay, String> {
     let (mut hops, mut stall, mut depth_sum, mut max_depth) = (0u64, 0u64, 0u64, 0u64);
     let mut routers: BTreeMap<(u32, u32), (u64, u64)> = BTreeMap::new();
     let mut rings = [RingReport { requests: 0, wait_ticks: 0, max_queue: 0 }; 2];
-    let mut declined = 0u8;
     let mut end: Option<&TraceEvent> = None;
     for ev in events {
         if end.is_some() {
@@ -127,12 +122,6 @@ pub fn replay(events: &[TraceEvent]) -> Result<Replay, String> {
                 ring.max_queue = ring.max_queue.max(ev.aux);
             }
             TraceKind::End => end = Some(ev),
-            TraceKind::Warn => {
-                // Semantic declines fold back into the report bitmask.
-                if (1..8).contains(&ev.arg) {
-                    declined |= 1 << ev.arg;
-                }
-            }
             // Observation-only events carry no report state.
             TraceKind::ServiceDone | TraceKind::RegObserve | TraceKind::MemObserve => {}
         }
@@ -178,7 +167,6 @@ pub fn replay(events: &[TraceEvent]) -> Result<Replay, String> {
         serial_msgs,
         mesh_msgs,
         class_fires,
-        declined,
         net,
     })
 }
@@ -237,7 +225,6 @@ pub fn verify_replay(replayed: &Replay, live: &ExecReport) -> Result<(), String>
     eq("serial_msgs", replayed.serial_msgs, live.serial_msgs)?;
     eq("mesh_msgs", replayed.mesh_msgs, live.mesh_msgs)?;
     eq("class_fires", replayed.class_fires, live.class_fires)?;
-    eq("declined", replayed.declined, live.declined)?;
     eq("net", &replayed.net.as_ref(), &live.net.as_deref())?;
     Ok(())
 }
@@ -431,23 +418,6 @@ pub fn chrome_trace_json(runs: &[(&str, &[TraceEvent])]) -> String {
                         dur: ev.data,
                         name: format!("stall ({},{})", ev.node, ev.arg),
                         args: format!("{{\"depth\":{}}}", ev.aux),
-                    });
-                }
-                TraceKind::Warn => {
-                    let tid = 5000;
-                    threads.entry((pid, tid)).or_insert_with(|| "warnings".to_string());
-                    let why = match ev.arg {
-                        WARN_FF_NET_ORDER => "fast-forward disabled: net not order-free",
-                        WARN_FF_GPP => "fast-forward disabled: non-stub GPP",
-                        _ => "warning",
-                    };
-                    emits.push(TraceSpan {
-                        pid,
-                        tid,
-                        ts: ev.tick,
-                        dur: 0,
-                        name: why.to_string(),
-                        args: "{}".to_string(),
                     });
                 }
                 TraceKind::RegObserve | TraceKind::MemObserve => {

@@ -146,9 +146,10 @@ fn bench_eval(synthetic: usize, threads: usize) {
 /// produce identical reports, and records the numbers — plus the
 /// pre-timing-wheel baseline for comparison — in `BENCH_kernel.json`.
 fn bench_kernel(synthetic: usize, threads: usize) {
-    // serial_secs of the committed BENCH_kernel.json the fast-forward work
-    // was measured against (synthetic 1500 on the timing-wheel kernel,
-    // before token-walk fast-forwarding and event-chain fusion).
+    // serial_secs of the committed BENCH_kernel.json for the timing-wheel
+    // kernel at synthetic 1500, measured when it last ran only the naive
+    // per-node walk (before token-walk fast-forwarding was added; it has
+    // since been removed again).
     const BASELINE_SERIAL_SECS: f64 = 3.762;
     const BASELINE_SYNTHETIC: usize = 1500;
 
@@ -170,7 +171,6 @@ fn bench_kernel(synthetic: usize, threads: usize) {
         && format!("{:?}", serial.statics) == format!("{:?}", parallel.statics);
 
     let events: u64 = serial.samples.iter().map(|s| s.report.events).sum();
-    let events_skipped: u64 = serial.samples.iter().map(|s| s.report.events_skipped).sum();
     let events_per_sec = events as f64 / serial_secs.max(1e-9);
     let samples = serial.samples.len().max(1);
     let allocs_per_sample = serial_allocs as f64 / samples as f64;
@@ -182,7 +182,7 @@ fn bench_kernel(synthetic: usize, threads: usize) {
 
     let metrics = serial.metrics().to_json();
     let json = format!(
-        "{{\n  \"benchmark\": \"tables --bench-kernel --synthetic {synthetic}\",\n  \"records\": {},\n  \"samples\": {},\n  \"threads\": {threads},\n  \"threads_used\": {},\n  \"serial_secs\": {serial_secs:.3},\n  \"parallel_secs\": {parallel_secs:.3},\n  \"parallel_speedup\": {:.2},\n  \"events\": {events},\n  \"events_skipped\": {events_skipped},\n  \"events_per_sec\": {events_per_sec:.0},\n  \"serial_allocs\": {serial_allocs},\n  \"serial_alloc_bytes\": {serial_alloc_bytes},\n  \"allocs_per_sample\": {allocs_per_sample:.1},\n  \"baseline_serial_secs\": {BASELINE_SERIAL_SECS},\n  \"baseline_synthetic\": {BASELINE_SYNTHETIC},\n  \"speedup_vs_baseline\": {speedup_vs_baseline:.2},\n  \"identical_output\": {identical},\n  \"utilization\": {},\n  \"metrics\": {metrics}\n}}\n",
+        "{{\n  \"benchmark\": \"tables --bench-kernel --synthetic {synthetic}\",\n  \"records\": {},\n  \"samples\": {},\n  \"threads\": {threads},\n  \"threads_used\": {},\n  \"serial_secs\": {serial_secs:.3},\n  \"parallel_secs\": {parallel_secs:.3},\n  \"parallel_speedup\": {:.2},\n  \"events\": {events},\n  \"events_per_sec\": {events_per_sec:.0},\n  \"serial_allocs\": {serial_allocs},\n  \"serial_alloc_bytes\": {serial_alloc_bytes},\n  \"allocs_per_sample\": {allocs_per_sample:.1},\n  \"baseline_serial_secs\": {BASELINE_SERIAL_SECS},\n  \"baseline_synthetic\": {BASELINE_SYNTHETIC},\n  \"speedup_vs_baseline\": {speedup_vs_baseline:.2},\n  \"identical_output\": {identical},\n  \"utilization\": {},\n  \"metrics\": {metrics}\n}}\n",
         serial.records.len(),
         serial.samples.len(),
         parallel.sweep.threads_used,

@@ -79,12 +79,7 @@ impl Fnv {
 }
 
 fn digest(net: NetKind) -> u64 {
-    let eval = Evaluation::run(&EvalConfig {
-        synthetic_count: 300,
-        net,
-        fast_forward: false,
-        ..EvalConfig::default()
-    });
+    let eval = Evaluation::run(&EvalConfig { synthetic_count: 300, net, ..EvalConfig::default() });
     let mut h = Fnv::new();
     for s in &eval.samples {
         let r = &s.report;

@@ -42,11 +42,6 @@ pub struct EvalConfig {
     /// memory/GPP requests through slotted rings, attaching link-level
     /// statistics to every sample.
     pub net: NetKind,
-    /// Token-walk fast-forwarding (`ExecParams::fast_forward`). On by
-    /// default; the kernel only honours it where it is provably
-    /// report-invariant (order-free net models, stub GPP), so turning it
-    /// off trades speed for a naive walk of the identical event stream.
-    pub fast_forward: bool,
     /// Ignored. Formerly selected block-compiled replay, which the
     /// server's result cache made redundant; the field stays only so
     /// existing struct literals keep compiling. Every sweep runs the one
@@ -62,7 +57,6 @@ impl Default for EvalConfig {
             configs: FabricConfig::all_six(),
             threads: default_threads(),
             net: NetKind::Ideal,
-            fast_forward: true,
             compiled: false,
         }
     }
@@ -193,9 +187,7 @@ impl Evaluation {
             &schedule,
             || pool.checkout(),
             |arena| pool.checkin(arena),
-            |arena, ri, rec| {
-                eval_record(ri, rec, &configs, cfg.max_mesh_cycles, cfg.fast_forward, arena)
-            },
+            |arena, ri, rec| eval_record(ri, rec, &configs, cfg.max_mesh_cycles, arena),
         );
 
         let eval = Evaluation::assemble(records, configs, swept.results, swept.stats);
@@ -503,11 +495,10 @@ pub(crate) fn eval_record(
     rec: &MethodRecord,
     configs: &[FabricConfig],
     max_mesh_cycles: u64,
-    fast_forward: bool,
     arena: &mut SimArena,
 ) -> (MethodStatics, Vec<Sample>) {
     let prepared = prepare(&rec.method).ok();
-    eval_prepared(ri, rec, prepared.as_ref(), configs, max_mesh_cycles, fast_forward, arena)
+    eval_prepared(ri, rec, prepared.as_ref(), configs, max_mesh_cycles, arena)
 }
 
 /// [`eval_record`] with the [`prepare`] step hoisted out, so a resident
@@ -521,7 +512,6 @@ pub(crate) fn eval_prepared(
     prepared: Option<&javaflow_fabric::PreparedMethod<'_>>,
     configs: &[FabricConfig],
     max_mesh_cycles: u64,
-    fast_forward: bool,
     arena: &mut SimArena,
 ) -> (MethodStatics, Vec<Sample>) {
     let v = verify(&rec.method).expect("population verifies");
@@ -567,7 +557,7 @@ pub(crate) fn eval_prepared(
             let Some(placement) = placements[ci].take() else { continue };
             let loaded = prepared.with_placement(placement);
             for bp in [BranchMode::Bp1, BranchMode::Bp2] {
-                let report = run_scripted(&loaded, fc, bp, max_mesh_cycles, fast_forward, arena);
+                let report = run_scripted(&loaded, fc, bp, max_mesh_cycles, arena);
                 let ok = matches!(report.outcome, Outcome::Returned(_));
                 samples.push(Sample { record: ri, config: ci, bp, report, ok });
             }
@@ -581,13 +571,12 @@ fn run_scripted(
     fc: &FabricConfig,
     bp: BranchMode,
     max_mesh_cycles: u64,
-    fast_forward: bool,
     arena: &mut SimArena,
 ) -> ExecReport {
     javaflow_fabric::execute_in(
         loaded,
         fc,
-        ExecParams { mode: bp, max_mesh_cycles, fast_forward, ..ExecParams::default() },
+        ExecParams { mode: bp, max_mesh_cycles, ..ExecParams::default() },
         arena,
     )
 }

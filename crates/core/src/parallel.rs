@@ -4,8 +4,8 @@
 //! nothing shared), so the sweep parallelizes as a deterministic map. The
 //! original implementation claimed one record per `fetch_add`, which put an
 //! exclusive-mode cache-line transfer on a single counter between every
-//! pair of ~microsecond runs; once the timing-wheel kernel and token-walk
-//! fast-forwarding collapsed per-run cost, that coordination overhead ate
+//! pair of ~microsecond runs; once the timing-wheel kernel collapsed
+//! per-run cost, that coordination overhead ate
 //! the whole parallel win (`parallel_speedup` ≈ 1.0 at any core count).
 //!
 //! [`sweep_ordered`] restructures the workers so coordination is amortized

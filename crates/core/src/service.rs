@@ -130,15 +130,7 @@ impl PreparedPopulation {
             |arena| pool.checkin(arena),
             |arena, ri, rec| {
                 let prepared = self.prepared_method(lo + ri);
-                eval_prepared(
-                    lo + ri,
-                    rec,
-                    prepared.as_ref(),
-                    &configs,
-                    cfg.max_mesh_cycles,
-                    cfg.fast_forward,
-                    arena,
-                )
+                eval_prepared(lo + ri, rec, prepared.as_ref(), &configs, cfg.max_mesh_cycles, arena)
             },
         );
         (swept.results, swept.stats)

@@ -65,33 +65,3 @@ fn cancellation_stops_between_batches() {
     assert!(out.is_none(), "a cancelled sweep must not assemble an Evaluation");
     assert_eq!(calls, 1, "cancellation after the first batch must stop the sweep");
 }
-
-#[test]
-fn fast_forward_off_is_honoured() {
-    // With fast-forwarding disabled every event is walked naively, so the
-    // skip counter must be zero — and the reports otherwise identical.
-    let on = cfg(4);
-    let off = EvalConfig { fast_forward: false, ..cfg(4) };
-    let pop = PreparedPopulation::prepare(4, on.threads);
-    let e_on = pop.evaluate(&on);
-    let e_off = pop.evaluate(&off);
-    assert!(
-        e_on.samples.iter().map(|s| s.report.events_skipped).sum::<u64>() > 0,
-        "the default sweep should fast-forward something"
-    );
-    assert!(e_off.samples.iter().all(|s| s.report.events_skipped == 0));
-    let strip = |e: &Evaluation| {
-        e.samples
-            .iter()
-            .map(|s| {
-                let mut r = s.report.clone();
-                r.events = 0;
-                r.events_skipped = 0;
-                r.wheel_pushes = 0;
-                r.wheel_high_water = 0;
-                format!("{r:?}")
-            })
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(strip(&e_on), strip(&e_off), "fast-forward must be report-invariant");
-}

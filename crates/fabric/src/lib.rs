@@ -81,7 +81,6 @@ pub use sim::{
 pub use timing::Timing;
 pub use token::{Command, InstanceId, SerialDest, SerialMessage, Token};
 pub use trace::{
-    warn_counter_name, NoopSink, RingRecorder, TraceEvent, TraceKind, TraceSink, EVENT_BYTES,
-    WARN_COUNTERS,
+    NoopSink, RingRecorder, TraceEvent, TraceKind, TraceSink, EVENT_BYTES, WARN_COUNTERS,
 };
 pub use wheel::TimingWheel;

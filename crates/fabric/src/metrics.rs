@@ -243,19 +243,11 @@ impl MetricsRegistry {
             Outcome::Exception(_) => "runs_exception",
         };
         self.add(outcome, 1);
-        // Semantic fast-forward declines, visible without an
-        // active trace sink (satellite of the observability PR).
-        for (code, name) in crate::trace::WARN_COUNTERS {
-            if r.declined & (1 << code) != 0 {
-                self.add(name, 1);
-            }
-        }
         self.add("instructions_executed", r.executed);
         self.add("relay_fires", r.relay_fires);
         self.add("serial_msgs", r.serial_msgs);
         self.add("mesh_msgs", r.mesh_msgs);
         self.add("events_popped", r.events);
-        self.add("events_skipped", r.events_skipped);
         self.add("mesh_cycles", r.mesh_cycles);
         self.add("wheel_pushes", r.wheel_pushes);
         self.observe_max("wheel_high_water", r.wheel_high_water);
@@ -635,37 +627,6 @@ mod tests {
         assert!(page.contains("javaflow_sim_wheel_high_water_max 9"));
         assert!(page.contains("javaflow_sim_events_per_run_bucket{le=\"7\"} 1"));
         assert!(page.contains("javaflow_sim_events_per_run_count 1"));
-    }
-
-    #[test]
-    fn declined_reports_count_warn_reasons() {
-        use crate::trace::WARN_FF_NET_ORDER;
-        let mut reg = MetricsRegistry::new();
-        let r = ExecReport {
-            outcome: Outcome::Deadlock,
-            mesh_cycles: 1,
-            executed: 0,
-            relay_fires: 0,
-            static_covered: 0,
-            coverage: 0.0,
-            ipc: 0.0,
-            frac_cycles_ge2: 0.0,
-            frac_cycles_ge1: 0.0,
-            serial_msgs: 0,
-            mesh_msgs: 0,
-            events: 0,
-            events_skipped: 0,
-            class_fires: [0; 4],
-            wheel_high_water: 0,
-            wheel_pushes: 0,
-            declined: 1 << WARN_FF_NET_ORDER,
-            net: None,
-        };
-        reg.observe_report(&r, [1; 4]);
-        assert_eq!(reg.counter("warn_ff_net_order"), 1);
-        assert_eq!(reg.counter("warn_ff_gpp"), 0);
-        reg.observe_report(&r, [1; 4]);
-        assert_eq!(reg.counter("warn_ff_net_order"), 2);
     }
 
     #[test]

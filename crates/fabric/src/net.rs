@@ -130,13 +130,6 @@ pub struct NetReport {
 /// per mesh cycle), matching the simulator's base unit. Implementations may
 /// keep mutable reservation state; one value models one run.
 pub trait NetModel {
-    /// Whether every delay is a pure function of the endpoints — no
-    /// arrival-order reservation state. Only such models may let the
-    /// kernel fast-forward token walks: skipping events reorders
-    /// deliveries *within* a tick, which an order-free model cannot
-    /// observe but a link-booking model would.
-    const ORDER_FREE: bool = false;
-
     /// Ticks from `now` until a mesh operand sent from `from` arrives at
     /// `to`. May reserve links (contention) and emit
     /// [`TraceKind::LinkHop`] events on `sink`.
@@ -171,8 +164,6 @@ pub trait NetModel {
 pub struct IdealNet;
 
 impl NetModel for IdealNet {
-    const ORDER_FREE: bool = true;
-
     fn mesh_delay<S: TraceSink>(
         &mut self,
         cfg: &FabricConfig,

@@ -38,10 +38,7 @@ use crate::{
     compute::{eval_condition, eval_into, OutVals},
     net::{ContendedNet, IdealNet, NetModel},
     place, resolve,
-    trace::{
-        encode_token, encode_value, pack_coords, NoopSink, TraceEvent, TraceKind, TraceSink,
-        WARN_FF_GPP, WARN_FF_NET_ORDER,
-    },
+    trace::{encode_token, encode_value, pack_coords, NoopSink, TraceEvent, TraceKind, TraceSink},
     BranchMode, BranchOracle, DataflowGraph, FabricConfig, NetKind, NetReport, PlaceError,
     Placement, ResolveError, Resolved, TimingWheel, Token,
 };
@@ -361,8 +358,9 @@ pub struct ExecReport {
     pub mesh_msgs: u64,
     /// Scheduler events processed (`tables --bench-kernel` throughput).
     pub events: u64,
-    /// Serial-walk deliveries proven no-ops and fast-forwarded over
-    /// (plus fused relay hops) instead of being simulated as events.
+    /// Always 0: every run simulates each event. Kept so existing
+    /// consumers of the report (and its `"events_skipped"` wire key)
+    /// keep reading the field.
     pub events_skipped: u64,
     /// Dynamic fires per timing class (0 move, 1 float, 2 convert,
     /// 3 other — the Table 17 classes), for the instrumentation
@@ -373,14 +371,6 @@ pub struct ExecReport {
     pub wheel_high_water: u64,
     /// Total events pushed into the timing wheel.
     pub wheel_pushes: u64,
-    /// Bitmask of *semantic* fast-forward declines: bit
-    /// `1 << WARN_*` is set when the caller asked for the fast path but
-    /// the gate picked the naive walk for that reason. Only the semantic
-    /// reasons are recorded — an active trace sink forcing the naive
-    /// walk sets no bit, so reports stay identical traced vs untraced.
-    /// [`MetricsRegistry::observe_report`](crate::MetricsRegistry::observe_report)
-    /// folds the bits into `warn_*` counters.
-    pub declined: u8,
     /// Link-level interconnect statistics ([`NetKind::Contended`] runs
     /// only; the ideal model collects none). Boxed so the common ideal
     /// report stays small: a resident sweep holds thousands of them.
@@ -398,14 +388,6 @@ pub struct ExecParams<'g, 'p> {
     pub gpp: Gpp<'g, 'p>,
     /// Argument values placed in the initial register tokens.
     pub args: Vec<Value>,
-    /// Fast-forward deterministic no-op stretches of the serial token
-    /// walk (and fuse relay event chains) instead of simulating each hop
-    /// as its own event. Tick-exact, so every report field except
-    /// `events`/`events_skipped` is unchanged; the engine only honours it
-    /// where tick-exactness implies full equivalence (ideal interconnect,
-    /// stub GPP — see DESIGN.md "Skip-index fast-forwarding"). `false`
-    /// forces the naive per-node walk everywhere (differential testing).
-    pub fast_forward: bool,
 }
 
 impl Default for ExecParams<'_, '_> {
@@ -415,7 +397,6 @@ impl Default for ExecParams<'_, '_> {
             max_mesh_cycles: 1_000_000,
             gpp: Gpp::Stub,
             args: Vec::new(),
-            fast_forward: true,
         }
     }
 }
@@ -448,23 +429,6 @@ struct Ev {
     token: Option<Token>,
     side: u16,
     value: Option<Value>,
-    /// The tick at which the *naive* walk would have pushed this event —
-    /// `now` for directly scheduled events, the virtual tick of the last
-    /// skipped hop for fast-forwarded deliveries. Buckets are stable-
-    /// sorted by this key before dispatch under fast-forward, restoring
-    /// the naive intra-tick FIFO order that early pushes would otherwise
-    /// scramble (push ticks are nondecreasing within a naive bucket, so
-    /// for naive streams the sort is the identity).
-    order: u64,
-    /// True for deliveries scheduled *ahead* of their naive push tick
-    /// (fast-forward chain deliveries and fused relay fan-outs). Among
-    /// events with equal `order`, the naive walk pushes these last: the
-    /// elided hop that would have made the push sits at the very end of
-    /// its own bucket (its key, `order - hop`, is that bucket's maximum
-    /// possible push tick), while a directly scheduled event's trigger
-    /// was pushed earlier. The sort key therefore orders real pushes
-    /// before chain deliveries at the same `order`.
-    chain: bool,
 }
 
 // Per-node state flags (struct-of-arrays replacement for the old
@@ -739,14 +703,8 @@ pub fn execute_in(
 }
 
 /// Runs a loaded method with a caller-provided [`TraceSink`] observing
-/// every structured event the engine emits.
-///
-/// An *active* sink (`S::ACTIVE`) forces the naive per-node walk —
-/// fast-forwarding elides exactly the token deliveries a trace exists to
-/// show — so the recording carries every hop at its naive tick. The
-/// tick-exactness contract of [`ExecParams::fast_forward`] means the
-/// returned report differs from an untraced run only in the
-/// `events`/`events_skipped`/`wheel_*` scheduler counters.
+/// every structured event the engine emits. The sink only observes: the
+/// returned report is identical to an untraced run's.
 ///
 /// # Panics
 ///
@@ -782,15 +740,8 @@ struct Sim<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> {
     class_ticks: [u64; 4],
     now: u64,
     max_ticks: u64,
-    /// Whether the skip-index fast-forward path is active for this run
-    /// (see [`ExecParams::fast_forward`] for the gating conditions).
-    ff: bool,
-    /// What the caller asked for — when the gate declines it, an active
-    /// sink gets a [`TraceKind::Warn`] naming the reason.
-    wanted_ff: bool,
     // stats
     events: u64,
-    events_skipped: u64,
     executed: u64,
     relay_fires: u64,
     serial_msgs: u64,
@@ -820,17 +771,6 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
         arena.oracle.reset(params.mode);
         let max_ticks = params.max_mesh_cycles.saturating_mul(cfg.mesh_cycle_ticks());
         let class_ticks = cfg.class_ticks();
-        // Fast-forwarding is tick-exact but not intra-tick-order-exact:
-        // skipped hops collapse an event chain into one push, so within a
-        // bucket the delivery pops at a different FIFO position. That is
-        // invisible exactly when every delay is a pure function of the
-        // endpoints (ideal interconnect: no arrival-order link booking)
-        // and firing has no shared mutable service (stub GPP: no heap the
-        // same-tick call order could interleave differently on). An
-        // active sink also forces the naive walk: skipped deliveries are
-        // precisely what a trace must show.
-        let ff =
-            params.fast_forward && N::ORDER_FREE && matches!(params.gpp, Gpp::Stub) && !S::ACTIVE;
         Sim {
             lm,
             dm,
@@ -843,10 +783,7 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
             class_ticks,
             now: 0,
             max_ticks,
-            ff,
-            wanted_ff: params.fast_forward,
             events: 0,
-            events_skipped: 0,
             executed: 0,
             relay_fires: 0,
             serial_msgs: 0,
@@ -892,27 +829,7 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
         side: u16,
         value: Option<Value>,
     ) {
-        let order = self.now;
-        self.arena.queue.push(at, Ev { kind, node, token, side, value, order, chain: false });
-    }
-
-    /// Like [`Self::push_ev`], but with an explicit bucket-order key (the
-    /// tick the naive walk would have made this push at).
-    #[allow(clippy::too_many_arguments)]
-    fn push_ev_ordered(
-        &mut self,
-        at: u64,
-        order: u64,
-        kind: EvKind,
-        node: u32,
-        token: Option<Token>,
-        side: u16,
-        value: Option<Value>,
-    ) {
-        // `order == now` means the naive walk pushes this event at this
-        // very moment too — a real push, not an early chain delivery.
-        let chain = order != self.now;
-        self.arena.queue.push(at, Ev { kind, node, token, side, value, order, chain });
+        self.arena.queue.push(at, Ev { kind, node, token, side, value });
     }
 
     fn send_serial(&mut self, from: u32, to: u32, token: Token) {
@@ -931,20 +848,8 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
         self.push_ev(self.now + delay, EvKind::Serial, to, Some(token), 0, None);
     }
 
-    /// Sends one mesh message, booking the bucket-order key `order` (the
-    /// tick the naive walk pushes it at: `now`, except inside a fused
-    /// relay fan-out, where it is the relay's arrival tick). Returns
-    /// whether the send (or, for a fused relay, any delivery in its
-    /// fan-out subtree) lands within the tick budget — the caller uses
-    /// that to decide if a relay's own arrival tick still needs a ghost
-    /// event to stand in for it.
-    fn send_mesh(
-        &mut self,
-        from_coords: (u32, u32),
-        sink: crate::Sink,
-        value: Value,
-        order: u64,
-    ) -> bool {
+    /// Sends one mesh message (to a consumer node or a relay).
+    fn send_mesh(&mut self, from_coords: (u32, u32), sink: crate::Sink, value: Value) {
         let to = self.coords_of(sink.consumer);
         let delay = self.net.mesh_delay(self.cfg, self.now, from_coords, to, &mut *self.tracer);
         self.mesh_msgs += 1;
@@ -959,41 +864,7 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
                 aux: at,
             });
         }
-        if self.ff && (sink.consumer as usize) >= self.n {
-            // Fused relay hop: under an order-free net every fan-out delay
-            // is a pure function of the endpoints, so the sink deliveries
-            // can be scheduled directly instead of round-tripping a Mesh
-            // event through the wheel at the relay. Tick-exact: each sink
-            // still arrives at relay_arrival + move + transit, and keeps
-            // the arrival tick as its order key (the naive walk pushes
-            // sink sends while processing the relay event).
-            let ri = sink.consumer as usize - self.n;
-            let coords = self.lm.graph.relays[ri].coords;
-            self.relay_fires += 1;
-            let move_ticks = self.cfg.timing.move_cycles * self.mesh_ticks();
-            let saved_now = self.now;
-            self.now = at + move_ticks;
-            let mut any = false;
-            for k in 0..self.lm.graph.relays[ri].sinks.len() {
-                let s = self.lm.graph.relays[ri].sinks[k];
-                any |= self.send_mesh(coords, s, value, at);
-            }
-            self.now = saved_now;
-            if any {
-                // Some delivery at a strictly later tick stays in budget;
-                // it dominates the relay arrival for both the final-`now`
-                // value and Timeout detection, so the relay event itself
-                // is elided entirely.
-                self.events_skipped += 1;
-            } else {
-                // Keep the relay's arrival visible to the clock / budget
-                // check exactly where the naive walk would have seen it.
-                self.push_ghost(at);
-            }
-            return any || at <= self.max_ticks;
-        }
-        self.push_ev_ordered(at, order, EvKind::Mesh, sink.consumer, None, sink.side, Some(value));
-        at <= self.max_ticks
+        self.push_ev(at, EvKind::Mesh, sink.consumer, None, sink.side, Some(value));
     }
 
     fn set_busy(&mut self, delta: i32) {
@@ -1015,34 +886,6 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
     }
 
     fn run(mut self) -> ExecReport {
-        // Surface a silent fast-forward downgrade: the caller
-        // asked for the fast kernel but the gate picked the naive walk.
-        // Only the *semantic* reasons count — an active sink forcing the
-        // naive walk is not one, so a recording (and the `declined`
-        // report mask) is byte-identical whether tracing is on or not.
-        let mut declined = 0u8;
-        if self.wanted_ff {
-            if !N::ORDER_FREE {
-                declined |= 1 << WARN_FF_NET_ORDER;
-            }
-            if !matches!(self.gpp, Gpp::Stub) {
-                declined |= 1 << WARN_FF_GPP;
-            }
-        }
-        if S::ACTIVE {
-            for code in [WARN_FF_NET_ORDER, WARN_FF_GPP] {
-                if declined & (1 << code) != 0 {
-                    self.tracer.record(&TraceEvent {
-                        tick: 0,
-                        kind: TraceKind::Warn,
-                        node: u32::MAX,
-                        arg: code,
-                        data: 0,
-                        aux: 0,
-                    });
-                }
-            }
-        }
         self.inject_bundle();
         // Drain the wheel one bucket at a time: all events of a bucket
         // share one tick, so the budget check and `now` update hoist out
@@ -1062,15 +905,6 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
                 break;
             }
             self.now = at;
-            if self.ff {
-                // Restore the naive intra-tick FIFO order: fast-forwarded
-                // deliveries were pushed early, so sort the bucket by the
-                // tick the naive walk would have pushed each event at
-                // (stable: equal keys keep push order, which is the naive
-                // order for directly scheduled events). Chain deliveries
-                // sort after real pushes with the same key — see `Ev::chain`.
-                batch.sort_by_key(|e| (e.order, e.chain));
-            }
             for &ev in &batch {
                 self.events += 1;
                 match ev.kind {
@@ -1133,11 +967,10 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
             serial_msgs: self.serial_msgs,
             mesh_msgs: self.mesh_msgs,
             events: self.events,
-            events_skipped: self.events_skipped,
+            events_skipped: 0,
             class_fires: self.class_fires,
             wheel_high_water: self.arena.queue.high_water() as u64,
             wheel_pushes: self.arena.queue.pushes(),
-            declined,
             net: net_report.map(Box::new),
         }
     }
@@ -1174,122 +1007,12 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
     /// Forwards a token from node `i` to its successor in the bundle's
     /// current route (next linear instruction, or the redirect target).
     fn forward(&mut self, i: u32, token: Token) {
-        if self.ff {
-            self.forward_ff(i, token);
-            return;
-        }
         let r = self.arena.redirect[i as usize];
         let to = if r == u32::MAX { i + 1 } else { r };
         if (to as usize) < self.n {
             self.send_serial(i, to, token);
         }
         // Tokens running past the last instruction return to the Anchor.
-    }
-
-    /// Whether node `ix` terminates a fast-forward chain — the *armed*
-    /// predicate of the skip index. Deliberately **token-independent**:
-    /// tokens walking the route in lockstep (same node, same tick) have
-    /// their relative order frozen into every downstream buffer, and that
-    /// order is only reproducible if lockstep tokens always stop at the
-    /// same nodes — a per-token predicate would let one token of a pair
-    /// skip a node the other stops at, and their rejoined deliveries
-    /// would tie with no record of the original merge order.
-    ///
-    /// Armed: any live (active, not completed) node — it may fire at
-    /// exactly the pass tick, and the bucket decides the order of its
-    /// emission relative to the passing token — and any completed node
-    /// that watches a register (a completed write must still absorb
-    /// stale tokens of its register; reads merely cost a real event).
-    /// Skipped: folded nodes (inert for every token) and completed
-    /// non-watchers, where every token type is a pure forward — the
-    /// HEAD latch a skipped node misses is dead state there (`try_fire`
-    /// bails on `F_FIRED`, the TAIL path short-circuits on completed,
-    /// and a loop-body reset clears the flags wholesale).
-    ///
-    /// A `false` here must be absorbing until the next loop-body reset
-    /// (`active` is static and `F_COMPLETED` set-only within a pass, and
-    /// no chain is in flight across a region being reset: the reinject
-    /// only runs once the TAIL — behind every other bundle token — has
-    /// been buffered at the back-jump node).
-    fn serial_armed(&self, ix: usize) -> bool {
-        if !self.lm.graph.active[ix] {
-            return false;
-        }
-        self.arena.flags[ix] & F_COMPLETED == 0 || self.dm.insns[ix].reg != u16::MAX
-    }
-
-    /// A ghost event: a tick the naive walk would have visited, kept so
-    /// the run's final `now` (and the Timeout/Deadlock distinction) stays
-    /// bit-identical when the deliveries around it were skipped. Carries
-    /// no token, so dispatch ignores it.
-    fn push_ghost(&mut self, at: u64) {
-        self.push_ev(at, EvKind::Serial, 0, None, 0, None);
-    }
-
-    /// Fast-forwarded forwarding: scan the bundle route from `i` through
-    /// the skip index, jumping directly to the next armed node. The
-    /// accumulated delay is closed-form — placement slots increase
-    /// strictly along the route (redirects only jump forward), so the
-    /// per-hop `max(transit, hop)` delays telescope to
-    /// `serial_transit(i, to).max(hop)` — and the skipped per-node
-    /// statistics reduce to one `serial_msgs` increment per hop.
-    fn forward_ff(&mut self, i: u32, token: Token) {
-        let hop = self.serial_hop();
-        let mut cur = i;
-        // Timing residue of skipped deliveries, for the ghosts: the
-        // largest virtual tick within the budget, and the first beyond it
-        // (0 = none; tick 0 deliveries cannot exist, injection is ≥ 0 and
-        // a zero value is only ever compared against `now` / pushed when
-        // a later delivery proved it nonzero).
-        let mut last_in_budget = 0u64;
-        let mut first_over = 0u64;
-        let mut hops = 0u64;
-        // The virtual tick of the walk's previous node: the naive walk
-        // pushes each delivery while processing the one before it, so this
-        // is the delivery's bucket-order key.
-        let mut prev = self.now;
-        loop {
-            let r = self.arena.redirect[cur as usize];
-            let to = if r == u32::MAX { cur + 1 } else { r };
-            if (to as usize) >= self.n {
-                // The token runs off the end of the serial network and
-                // returns to the Anchor. The naive walk still visited
-                // every node along the way; replay what of that remains
-                // observable — the last within-budget tick (final `now`
-                // on a deadlocked drain) and, if the walk crossed the
-                // budget, one over-budget event (Timeout, not Deadlock).
-                self.events_skipped += hops;
-                if last_in_budget > self.now {
-                    self.events_skipped -= 1;
-                    self.push_ghost(last_in_budget);
-                }
-                if first_over != 0 {
-                    self.push_ghost(first_over);
-                }
-                return;
-            }
-            self.serial_msgs += 1;
-            hops += 1;
-            let at = self.now + self.serial_transit(i, to).max(hop);
-            if self.serial_armed(to as usize) {
-                self.events_skipped += hops - 1;
-                self.push_ev_ordered(at, prev, EvKind::Serial, to, Some(token), 0, None);
-                if at > self.max_ticks && last_in_budget > self.now {
-                    // The delivery itself is over budget: the naive walk's
-                    // last within-budget visit decides the final `now`.
-                    self.events_skipped -= 1;
-                    self.push_ghost(last_in_budget);
-                }
-                return;
-            }
-            if at <= self.max_ticks {
-                last_in_budget = at;
-            } else if first_over == 0 {
-                first_over = at;
-            }
-            prev = at;
-            cur = to;
-        }
     }
 
     fn on_serial(&mut self, i: u32, token: Token) {
@@ -1406,7 +1129,7 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
             self.now += move_ticks;
             for k in 0..self.lm.graph.relays[ri].sinks.len() {
                 let s = self.lm.graph.relays[ri].sinks[k];
-                self.send_mesh(coords, s, value, saved_now);
+                self.send_mesh(coords, s, value);
             }
             self.now = saved_now;
             return;
@@ -1741,7 +1464,7 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
             let s = lm.graph.consumers[ix][k];
             let o = usize::from(s.out);
             let v = if o < len { self.arena.output_vals[out_off + o] } else { Value::Int(0) };
-            self.send_mesh(coords, s, v, self.now);
+            self.send_mesh(coords, s, v);
         }
     }
 

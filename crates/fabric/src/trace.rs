@@ -19,41 +19,23 @@
 //!
 //! # Tick semantics
 //!
-//! Events carry the simulator's **serial tick** clock. An active sink
-//! forces the naive per-node walk — fast-forwarding elides exactly the
-//! deliveries a trace exists to show — so recorded ticks are the naive
-//! schedule, and a recording is byte-identical whether the caller asked
-//! for fast-forward or not (the tick-exactness contract of
-//! `ExecParams::fast_forward` guarantees the same end state either way).
+//! Events carry the simulator's **serial tick** clock: the kernel walks
+//! the token bundle hop by hop, so a recording shows every delivery at
+//! the tick it happened.
 
 use javaflow_bytecode::Value;
 
 use crate::Token;
 
-/// Why a [`TraceKind::Warn`] event fired: `ExecParams::fast_forward` was
-/// requested but auto-disabled because the interconnect model books
-/// link/ring state in arrival order (`NetModel::ORDER_FREE` is false).
-pub const WARN_FF_NET_ORDER: u32 = 1;
-/// Why a [`TraceKind::Warn`] event fired: `ExecParams::fast_forward` was
-/// requested but auto-disabled because a non-stub GPP is attached (the
-/// interpreter's heap observes same-tick service order).
-pub const WARN_FF_GPP: u32 = 2;
-/// Every warn code paired with the `MetricsRegistry` counter name it is
-/// folded into by `observe_report` (via the `ExecReport::declined`
-/// bitmask — bit `1 << code`). Keeping the table here, next to the
-/// codes, is what lets declines be counted without an active sink.
-pub const WARN_COUNTERS: [(u32, &str); 2] =
-    [(WARN_FF_NET_ORDER, "warn_ff_net_order"), (WARN_FF_GPP, "warn_ff_gpp")];
-
-/// The `MetricsRegistry` counter name for a warn `arg` code, or `None`
-/// for an unknown code.
-#[must_use]
-pub fn warn_counter_name(code: u32) -> Option<&'static str> {
-    WARN_COUNTERS.iter().find(|(c, _)| *c == code).map(|&(_, n)| n)
-}
+/// Decline codes paired with `MetricsRegistry` counter names. The kernel
+/// has one execution walk and never declines a requested path, so the
+/// table is empty; it stays exported because existing readers still sum
+/// over it.
+pub const WARN_COUNTERS: [(u32, &str); 0] = [];
 
 /// What a [`TraceEvent`] describes. Discriminants are the first byte of
-/// the binary record format and must stay stable.
+/// the binary record format and must stay stable (`10`, a retired
+/// diagnostic kind, is unused).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum TraceKind {
@@ -90,9 +72,6 @@ pub enum TraceKind {
     /// An ordered array store reached real memory. `arg` = operand count,
     /// `data`/`aux` = bits/tag of the stored value.
     MemObserve = 9,
-    /// A diagnostic: see [`WARN_FF_NET_ORDER`] / [`WARN_FF_GPP`] for the
-    /// `arg` codes.
-    Warn = 10,
     /// The run ended. `tick` = final raw tick, `arg` = outcome code
     /// (0 returned / 1 timeout / 2 deadlock / 3 exception), `data` =
     /// ticks per mesh cycle, `aux` = net-report-present bit 0 |

@@ -10,14 +10,13 @@
 //! per-run allocation count must be a small constant (the two slabs plus
 //! the hotspot report), never traffic-dependent.
 //!
-//! The counting `#[global_allocator]` is process-wide, so every test in
-//! this binary holds [`SERIAL`] for its whole body — a concurrent test's
-//! allocations would otherwise show up in the measured window. The
-//! contended phase lives inside the same `#[test]` for the same reason.
+//! The counting `#[global_allocator]` counts per thread: each measured
+//! window reads only the allocations its own thread made, so the test
+//! harness's threads and a concurrently running test cannot show up in
+//! it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use javaflow_bytecode::asm::assemble;
 use javaflow_fabric::{
@@ -26,27 +25,39 @@ use javaflow_fabric::{
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and drop-free, so touching it from inside the
+    // allocator never allocates or registers a destructor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 // SAFETY: delegates verbatim to `System`; the counter is a side effect.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-static SERIAL: Mutex<()> = Mutex::new(());
 
 const SUM_LOOP: &str = ".method sum args=1 returns=true locals=3
    iconst_0
@@ -65,7 +76,6 @@ const SUM_LOOP: &str = ".method sum args=1 returns=true locals=3
 
 #[test]
 fn warm_scripted_run_does_not_allocate() {
-    let _serial = SERIAL.lock().unwrap();
     let p = assemble(SUM_LOOP).unwrap();
     let (_, m) = p.method_by_name("sum").unwrap();
     let config = FabricConfig::compact2();
@@ -90,14 +100,14 @@ fn warm_scripted_run_does_not_allocate() {
     // Measured runs: the steady state must be allocation-free. (No
     // `format!` in this window — the checks themselves must not touch
     // the heap on the success path.)
-    let before = ALLOCS.load(Relaxed);
+    let before = allocs();
     for _ in 0..3 {
         let report = run(&mut arena);
         assert!(report.outcome == warm.outcome);
         assert!(report.executed == warm.executed);
         assert!(report.events == warm.events);
     }
-    let after = ALLOCS.load(Relaxed);
+    let after = allocs();
     assert_eq!(after - before, 0, "warm simulation runs must not allocate");
 
     // Contended phase: every run constructs a fresh `ContendedNet`, whose
@@ -125,9 +135,9 @@ fn warm_scripted_run_does_not_allocate() {
 
     let mut per_run = [0u64; 3];
     for slot in &mut per_run {
-        let before = ALLOCS.load(Relaxed);
+        let before = allocs();
         let report = run_c(&mut arena);
-        *slot = ALLOCS.load(Relaxed) - before;
+        *slot = allocs() - before;
         assert!(report.outcome == warm_c.outcome);
         assert!(report.events == warm_c.events);
     }
@@ -152,7 +162,7 @@ fn warm_scripted_run_does_not_allocate() {
         r
     };
     assert!(warm_cycle.outcome == warm.outcome);
-    let before = ALLOCS.load(Relaxed);
+    let before = allocs();
     for _ in 0..3 {
         let mut a = pool.checkout();
         let report = run(&mut a);
@@ -160,14 +170,13 @@ fn warm_scripted_run_does_not_allocate() {
         assert!(report.outcome == warm.outcome);
         assert!(report.events == warm.events);
     }
-    let after = ALLOCS.load(Relaxed);
+    let after = allocs();
     assert_eq!(after - before, 0, "warm pool checkout/run/checkin cycles must not allocate");
     assert_eq!(pool.warm_len(), 1, "every checkout must come back to the pool");
 }
 
 #[test]
 fn pool_checkin_drops_arenas_above_the_retain_cap() {
-    let _serial = SERIAL.lock().unwrap();
     // A long-lived server process absorbs bursts of wide concurrency;
     // every worker checks its arena back in when the burst drains. The
     // pool must not retain all of them forever — checkins above the

@@ -27,14 +27,14 @@ use javaflow_server::protocol::{
 };
 use javaflow_server::{Server, ServerConfig};
 
-/// One request shape in the mix. `net`/`fast_forward`/`tables` vary so
-/// coalescing has distinct keys to keep apart.
+/// One request shape in the mix. `net`/`max_mesh_cycles` vary so
+/// coalescing has distinct keys to keep apart; `tables` varies within a
+/// key, since coalesced subscribers each get their own `done` frame.
 #[derive(Clone)]
 struct Variant {
     synthetic: usize,
     max_mesh_cycles: u64,
     net: NetKind,
-    fast_forward: bool,
     tables: Vec<u32>,
 }
 
@@ -43,12 +43,11 @@ impl Variant {
         let tables = self.tables.iter().map(u32::to_string).collect::<Vec<_>>().join(", ");
         format!(
             "{{\"kind\": \"sweep\", \"id\": {id}, \"synthetic\": {}, \
-             \"max_mesh_cycles\": {}, \"net\": \"{}\", \"fast_forward\": {}, \
+             \"max_mesh_cycles\": {}, \"net\": \"{}\", \
              \"tables\": [{tables}], \"deadline_ms\": {deadline_ms}}}",
             self.synthetic,
             self.max_mesh_cycles,
             if self.net == NetKind::Contended { "contended" } else { "ideal" },
-            self.fast_forward,
         )
     }
 
@@ -57,7 +56,6 @@ impl Variant {
             synthetic_count: self.synthetic,
             max_mesh_cycles: self.max_mesh_cycles,
             net: self.net,
-            fast_forward: self.fast_forward,
             ..EvalConfig::default()
         }
     }
@@ -244,13 +242,8 @@ fn backpressure_and_drain(batch_records: usize) -> Result<(), String> {
     let addr = server.addr().to_string();
     // Big enough that preparing + sweeping A comfortably outlasts the
     // admission of B and C below, even on a fast machine.
-    let slow = Variant {
-        synthetic: 100,
-        max_mesh_cycles: 250_000,
-        net: NetKind::Ideal,
-        fast_forward: true,
-        tables: vec![],
-    };
+    let slow =
+        Variant { synthetic: 100, max_mesh_cycles: 250_000, net: NetKind::Ideal, tables: vec![] };
     let mut a = TcpStream::connect(&addr).map_err(|e| e.to_string())?;
     send_json(&mut a, &slow.request_json(1001, 0));
     expect_type(&mut a, "accepted")?;
@@ -349,32 +342,13 @@ fn main() {
     }
 
     let variants = vec![
-        Variant {
-            synthetic,
-            max_mesh_cycles: 250_000,
-            net: NetKind::Ideal,
-            fast_forward: true,
-            tables: vec![22],
-        },
-        Variant {
-            synthetic,
-            max_mesh_cycles: 250_000,
-            net: NetKind::Contended,
-            fast_forward: true,
-            tables: vec![],
-        },
-        Variant {
-            synthetic,
-            max_mesh_cycles: 250_000,
-            net: NetKind::Ideal,
-            fast_forward: false,
-            tables: vec![30],
-        },
+        Variant { synthetic, max_mesh_cycles: 250_000, net: NetKind::Ideal, tables: vec![22] },
+        Variant { synthetic, max_mesh_cycles: 250_000, net: NetKind::Contended, tables: vec![] },
+        Variant { synthetic, max_mesh_cycles: 250_000, net: NetKind::Ideal, tables: vec![30] },
         Variant {
             synthetic: synthetic / 2,
             max_mesh_cycles: 150_000,
             net: NetKind::Ideal,
-            fast_forward: true,
             tables: vec![21],
         },
     ];

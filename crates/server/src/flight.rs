@@ -1,45 +1,26 @@
-//! The flight recorder: a fixed-capacity ring of recent request spans
-//! and gating warnings, always on.
+//! The flight recorder: a fixed-capacity ring of recent request spans,
+//! always on.
 //!
 //! This is the third observability tier. A full
-//! [`javaflow_fabric::TraceSink`] recording forces the naive walk, so it
-//! cannot run in production; the flight recorder instead keeps the last
-//! `capacity` [`RequestSpan`]s (plus any `WARN_*` gating declines folded
-//! out of each sweep's metrics) in a preallocated ring of `Copy` records
-//! — recording never allocates or touches the simulation hot path.
+//! [`javaflow_fabric::TraceSink`] recording costs every simulated event,
+//! so it cannot run in production; the flight recorder instead keeps the
+//! last `capacity` [`RequestSpan`]s in a preallocated ring of `Copy`
+//! records — recording never allocates or touches the simulation hot
+//! path.
 //! On SIGUSR1, or on a request failure when configured, the ring is
 //! rendered as a Chrome-trace / Perfetto JSON document through the
 //! `analysis::trace` export machinery ([`FlightRecorder::chrome_json`]).
 
 use javaflow_analysis::trace::{chrome_json, TraceSpan};
-use javaflow_fabric::warn_counter_name;
 
 use crate::span::{RequestSpan, OUTCOME_CLIENT_GONE, PHASE_NAMES};
 
-/// One ring slot: a finished request span, or a gating warning observed
-/// while folding a sweep's simulation metrics.
-#[derive(Debug, Clone, Copy)]
-pub enum FlightEntry {
-    /// A request that reached its terminal point.
-    Span(RequestSpan),
-    /// `count` fast-forward gating declines of kind `code`
-    /// (a `javaflow_fabric::trace::WARN_*` value) in one sweep.
-    Warn {
-        /// µs since the server epoch when the sweep finished.
-        at_us: u64,
-        /// The `WARN_*` reason code.
-        code: u32,
-        /// How many runs of the sweep declined for this reason.
-        count: u64,
-    },
-}
-
-/// Fixed-capacity ring of recent [`FlightEntry`]s. All slots are
+/// Fixed-capacity ring of recent finished [`RequestSpan`]s. All slots are
 /// preallocated at construction; recording overwrites the oldest entry
 /// and never allocates.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    entries: Vec<FlightEntry>,
+    entries: Vec<RequestSpan>,
     /// Overwrite cursor once the ring is full.
     next: usize,
     /// Entries overwritten since startup.
@@ -55,8 +36,8 @@ impl FlightRecorder {
         FlightRecorder { entries: Vec::with_capacity(capacity), next: 0, dropped: 0, capacity }
     }
 
-    /// Records one entry, overwriting the oldest when full.
-    pub fn push(&mut self, e: FlightEntry) {
+    /// Records one finished span, overwriting the oldest when full.
+    pub fn push(&mut self, e: RequestSpan) {
         if self.entries.len() < self.capacity {
             self.entries.push(e);
         } else {
@@ -86,7 +67,7 @@ impl FlightRecorder {
 
     /// The held entries, oldest first.
     #[must_use]
-    pub fn snapshot(&self) -> Vec<FlightEntry> {
+    pub fn snapshot(&self) -> Vec<RequestSpan> {
         let mut out = Vec::with_capacity(self.entries.len());
         out.extend_from_slice(&self.entries[self.next..]);
         out.extend_from_slice(&self.entries[..self.next]);
@@ -94,8 +75,8 @@ impl FlightRecorder {
     }
 
     /// Renders the ring as a Chrome-trace / Perfetto JSON document:
-    /// one process, a "requests" summary row, one row per phase, and a
-    /// "warnings" row. Timestamps are µs since the server epoch, so
+    /// one process, a "requests" summary row, and one row per phase.
+    /// Timestamps are µs since the server epoch, so
     /// concurrent requests interleave exactly as they ran.
     #[must_use]
     pub fn chrome_json(&self) -> String {
@@ -104,52 +85,37 @@ impl FlightRecorder {
         for (p, name) in PHASE_NAMES.iter().enumerate() {
             threads.push(((pid, 100 + p as u32), format!("phase: {name}")));
         }
-        threads.push(((pid, 20), "warnings".to_string()));
         let mut spans: Vec<TraceSpan> = Vec::new();
-        for e in self.snapshot() {
-            match e {
-                FlightEntry::Span(s) => {
-                    let label = if s.kind == b's' {
-                        format!("#{} sweep s{} → {}", s.id, s.synthetic, s.outcome)
-                    } else {
-                        format!("#{} {} → {}", s.id, s.kind_str(), s.outcome)
-                    };
-                    let gone = if s.outcome == OUTCOME_CLIENT_GONE { " (client gone)" } else { "" };
+        for s in self.snapshot() {
+            let label = if s.kind == b's' {
+                format!("#{} sweep s{} → {}", s.id, s.synthetic, s.outcome)
+            } else {
+                format!("#{} {} → {}", s.id, s.kind_str(), s.outcome)
+            };
+            let gone = if s.outcome == OUTCOME_CLIENT_GONE { " (client gone)" } else { "" };
+            spans.push(TraceSpan {
+                pid,
+                tid: 10,
+                ts: s.start_us,
+                dur: s.total_us().max(1),
+                name: format!("{label}{gone}"),
+                args: format!(
+                    "{{\"id\":{},\"outcome\":{},\"coalesced\":{},\"cached\":{},\"bytes\":{},\"batches\":{}}}",
+                    s.id, s.outcome, s.coalesced, s.cached, s.bytes_streamed, s.batches
+                ),
+            });
+            let mut t = s.start_us;
+            for (p, name) in PHASE_NAMES.iter().enumerate() {
+                if s.reached & (1 << p) != 0 {
                     spans.push(TraceSpan {
                         pid,
-                        tid: 10,
-                        ts: s.start_us,
-                        dur: s.total_us().max(1),
-                        name: format!("{label}{gone}"),
-                        args: format!(
-                            "{{\"id\":{},\"outcome\":{},\"coalesced\":{},\"cached\":{},\"bytes\":{},\"batches\":{}}}",
-                            s.id, s.outcome, s.coalesced, s.cached, s.bytes_streamed, s.batches
-                        ),
+                        tid: 100 + p as u32,
+                        ts: t,
+                        dur: s.phase_us[p].max(1),
+                        name: format!("#{} {name}", s.id),
+                        args: format!("{{\"us\":{}}}", s.phase_us[p]),
                     });
-                    let mut t = s.start_us;
-                    for (p, name) in PHASE_NAMES.iter().enumerate() {
-                        if s.reached & (1 << p) != 0 {
-                            spans.push(TraceSpan {
-                                pid,
-                                tid: 100 + p as u32,
-                                ts: t,
-                                dur: s.phase_us[p].max(1),
-                                name: format!("#{} {name}", s.id),
-                                args: format!("{{\"us\":{}}}", s.phase_us[p]),
-                            });
-                            t += s.phase_us[p];
-                        }
-                    }
-                }
-                FlightEntry::Warn { at_us, code, count } => {
-                    spans.push(TraceSpan {
-                        pid,
-                        tid: 20,
-                        ts: at_us,
-                        dur: 1,
-                        name: warn_counter_name(code).unwrap_or("warn_unknown").to_string(),
-                        args: format!("{{\"count\":{count}}}"),
-                    });
+                    t += s.phase_us[p];
                 }
             }
         }
@@ -175,31 +141,22 @@ mod tests {
     fn ring_overwrites_oldest_and_keeps_order() {
         let mut r = FlightRecorder::new(3);
         for id in 0..5 {
-            r.push(FlightEntry::Span(span(id)));
+            r.push(span(id));
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.dropped(), 2);
-        let ids: Vec<u64> = r
-            .snapshot()
-            .iter()
-            .map(|e| match e {
-                FlightEntry::Span(s) => s.id,
-                FlightEntry::Warn { .. } => unreachable!(),
-            })
-            .collect();
+        let ids: Vec<u64> = r.snapshot().iter().map(|s| s.id).collect();
         assert_eq!(ids, [2, 3, 4], "oldest first");
     }
 
     #[test]
     fn chrome_dump_has_metadata_and_phase_rows() {
         let mut r = FlightRecorder::new(8);
-        r.push(FlightEntry::Span(span(1)));
-        r.push(FlightEntry::Warn { at_us: 5000, code: 1, count: 2 });
+        r.push(span(1));
         let j = r.chrome_json();
         assert!(j.starts_with("{\"traceEvents\":["), "{j}");
         assert!(j.contains("\"name\":\"process_name\""), "{j}");
         assert!(j.contains("\"name\":\"phase: execute\""), "{j}");
-        assert!(j.contains("warn_ff_net_order"), "{j}");
         assert!(j.ends_with("],\"displayTimeUnit\":\"ms\"}"), "{j}");
         crate::json::Json::parse(&j).expect("dump parses as JSON");
     }

@@ -290,13 +290,13 @@ mod tests {
     #[test]
     fn parses_requests() {
         let j = Json::parse(
-            "{\"kind\": \"sweep\", \"id\": 7, \"synthetic\": 50, \"fast_forward\": false, \
+            "{\"kind\": \"sweep\", \"id\": 7, \"synthetic\": 50, \"verbose\": false, \
              \"tables\": [22, 30], \"net\": \"contended\"}",
         )
         .unwrap();
         assert_eq!(j.get("kind").and_then(Json::as_str), Some("sweep"));
         assert_eq!(j.get("id").and_then(Json::as_u64), Some(7));
-        assert_eq!(j.get("fast_forward").and_then(Json::as_bool), Some(false));
+        assert_eq!(j.get("verbose").and_then(Json::as_bool), Some(false));
         assert_eq!(j.get("tables").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
         assert_eq!(j.get("missing"), None);
     }

@@ -15,7 +15,7 @@
 //! is the point of the crate:
 //!
 //! * **Batching / coalescing** — compatible concurrent sweeps (same
-//!   population, cycle budget, net model, and fast-forward setting) share
+//!   population, cycle budget, and net model) share
 //!   one simulation; every subscriber receives the identical frames.
 //! * **Result cache** — a key swept twice is kept (bounded, LRU) in
 //!   [`cache::ResultCache`], so later requests for it stream without

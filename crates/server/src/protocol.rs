@@ -181,8 +181,6 @@ pub struct SweepRequest {
     /// Worker threads for the sweep (coalesced requests share the
     /// largest ask). Results never depend on this.
     pub threads: Option<usize>,
-    /// Token-walk fast-forwarding.
-    pub fast_forward: bool,
     /// Chapter 7 tables to render into the final `done` frame.
     pub tables: Vec<u32>,
     /// Per-request deadline in milliseconds; 0 = none. An expired sweep
@@ -255,17 +253,16 @@ pub fn parse_request(payload: &[u8], defaults: &EvalConfig) -> Result<Request, R
                     _ => return Err(RequestError::bad(id, "`threads` must be 1..=256")),
                 },
             };
-            let fast_forward = match j.get("fast_forward") {
-                None | Some(Json::Null) => defaults.fast_forward,
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| RequestError::bad(id, "`fast_forward` must be a bool"))?,
-            };
-            // Accepted and ignored: block-compiled replay is gone (the
-            // result cache serves repeats), but old clients still send it.
-            match j.get("compiled") {
-                None | Some(Json::Null) | Some(Json::Bool(_)) => {}
-                Some(_) => return Err(RequestError::bad(id, "`compiled` must be a bool")),
+            // Accepted and ignored: block-compiled replay and token-walk
+            // fast-forward are gone (every sweep runs the one walk, and the
+            // result cache serves repeats), but old clients still send them.
+            for name in ["compiled", "fast_forward"] {
+                match j.get(name) {
+                    None | Some(Json::Null) | Some(Json::Bool(_)) => {}
+                    Some(_) => {
+                        return Err(RequestError::bad(id, format!("`{name}` must be a bool")))
+                    }
+                }
             }
             let tables = match j.get("tables") {
                 None | Some(Json::Null) => Vec::new(),
@@ -294,7 +291,6 @@ pub fn parse_request(payload: &[u8], defaults: &EvalConfig) -> Result<Request, R
                 max_mesh_cycles,
                 net,
                 threads,
-                fast_forward,
                 tables,
                 deadline_ms,
             }))
@@ -506,7 +502,6 @@ mod tests {
         assert_eq!(s.max_mesh_cycles, d.max_mesh_cycles);
         assert_eq!(s.net, d.net);
         assert_eq!(s.threads, None);
-        assert!(s.fast_forward);
         assert!(s.tables.is_empty());
         assert_eq!(s.deadline_ms, 0);
     }
@@ -531,6 +526,7 @@ mod tests {
             "{\"kind\": \"sweep\", \"id\": 9, \"max_mesh_cycles\": 0}",
             "{\"kind\": \"sweep\", \"id\": 9, \"synthetic\": \"many\"}",
             "{\"kind\": \"sweep\", \"id\": 9, \"compiled\": \"yes\"}",
+            "{\"kind\": \"sweep\", \"id\": 9, \"fast_forward\": \"yes\"}",
             "{\"kind\": \"warp\", \"id\": 9}",
         ] {
             let e = parse_request(bad.as_bytes(), &d).unwrap_err();

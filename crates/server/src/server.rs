@@ -31,10 +31,10 @@ use std::time::{Duration, Instant};
 
 use javaflow_analysis::report_json::json_escape;
 use javaflow_core::{EvalConfig, Evaluation, PreparedPopulation};
-use javaflow_fabric::{MetricsRegistry, NetKind, WARN_COUNTERS};
+use javaflow_fabric::{MetricsRegistry, NetKind};
 
 use crate::cache::{ResultCache, MAX_ENTRIES, MAX_SAMPLES};
-use crate::flight::{FlightEntry, FlightRecorder};
+use crate::flight::FlightRecorder;
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
     batch_frame_head, batch_payload, done_frame, error_frame, for_each_batch_payload,
@@ -118,7 +118,6 @@ pub(crate) struct SweepKey {
     pub(crate) synthetic: usize,
     pub(crate) max_mesh_cycles: u64,
     pub(crate) net_contended: bool,
-    pub(crate) fast_forward: bool,
 }
 
 impl SweepKey {
@@ -127,18 +126,16 @@ impl SweepKey {
             synthetic: req.synthetic,
             max_mesh_cycles: req.max_mesh_cycles,
             net_contended: req.net == NetKind::Contended,
-            fast_forward: req.fast_forward,
         }
     }
 
     /// Prometheus label set for the per-key sweep counter.
     pub(crate) fn prom_labels(&self) -> String {
         format!(
-            "synthetic=\"{}\",max_mesh_cycles=\"{}\",net=\"{}\",fast_forward=\"{}\"",
+            "synthetic=\"{}\",max_mesh_cycles=\"{}\",net=\"{}\"",
             self.synthetic,
             self.max_mesh_cycles,
             if self.net_contended { "contended" } else { "ideal" },
-            self.fast_forward,
         )
     }
 }
@@ -311,7 +308,7 @@ impl Shared {
             return;
         }
         self.metrics.lock().expect("metrics lock").observe_span(span);
-        self.flight.lock().expect("flight lock").push(FlightEntry::Span(*span));
+        self.flight.lock().expect("flight lock").push(*span);
         if self.cfg.log_json {
             eprintln!("{}", span.render_log_json());
         }
@@ -645,7 +642,6 @@ fn handle_request(
             span.synthetic = req.synthetic as u64;
             span.max_mesh_cycles = req.max_mesh_cycles;
             span.net_contended = req.net == NetKind::Contended;
-            span.fast_forward = req.fast_forward;
             admit(shared, writer, req, span);
         }
     }
@@ -895,7 +891,6 @@ fn sweep(
         synthetic_count: key.synthetic,
         max_mesh_cycles: key.max_mesh_cycles,
         net: if key.net_contended { NetKind::Contended } else { NetKind::Ideal },
-        fast_forward: key.fast_forward,
         threads,
         ..EvalConfig::default()
     };
@@ -927,19 +922,8 @@ fn sweep(
     // Fold the sweep's simulation metrics in (and count it against its
     // key) before the done frames go out, so a client that saw `done`
     // also sees this sweep on the metrics page.
-    let sweep_metrics = eval.metrics();
-    shared.registry.lock().expect("registry lock").merge(&sweep_metrics);
+    shared.registry.lock().expect("registry lock").merge(&eval.metrics());
     *shared.sweeps_by_key.lock().expect("sweeps_by_key lock").entry(key.clone()).or_insert(0) += 1;
-    if shared.cfg.observability {
-        let at_us = shared.now_us();
-        let mut flight = shared.flight.lock().expect("flight lock");
-        for (code, name) in WARN_COUNTERS {
-            let count = sweep_metrics.counter(name);
-            if count > 0 {
-                flight.push(FlightEntry::Warn { at_us, code, count });
-            }
-        }
-    }
     let eval = Arc::new(eval);
     let took = started.elapsed().saturating_sub(gave_way);
     shared.results.lock().expect("results lock").offer_timed(key.clone(), &eval, took);

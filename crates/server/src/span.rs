@@ -69,8 +69,6 @@ pub struct RequestSpan {
     pub max_mesh_cycles: u64,
     /// Sweep key: contended interconnect model.
     pub net_contended: bool,
-    /// Sweep key: token-walk fast-forwarding.
-    pub fast_forward: bool,
 }
 
 /// Saturating `Duration` → µs (the histograms are `u64`).
@@ -120,11 +118,10 @@ impl RequestSpan {
         ));
         if self.kind == b's' {
             out.push_str(&format!(
-                ",\"synthetic\":{},\"max_mesh_cycles\":{},\"net\":\"{}\",\"fast_forward\":{},\"coalesced\":{},\"cached\":{},\"batches\":{},\"bytes_streamed\":{}",
+                ",\"synthetic\":{},\"max_mesh_cycles\":{},\"net\":\"{}\",\"coalesced\":{},\"cached\":{},\"batches\":{},\"bytes_streamed\":{}",
                 self.synthetic,
                 self.max_mesh_cycles,
                 if self.net_contended { "contended" } else { "ideal" },
-                self.fast_forward,
                 self.coalesced,
                 self.cached,
                 self.batches,

@@ -507,12 +507,65 @@ fn compiled_true_and_false_share_one_key() {
         page.lines().filter(|l| l.starts_with("javaflow_server_sweeps_by_key_total{")).collect();
     assert_eq!(
         keys,
-        ["javaflow_server_sweeps_by_key_total{synthetic=\"2\",max_mesh_cycles=\"150000\",net=\"ideal\",fast_forward=\"true\"} 2"],
+        ["javaflow_server_sweeps_by_key_total{synthetic=\"2\",max_mesh_cycles=\"150000\",net=\"ideal\"} 2"],
         "{page}"
     );
 
     send(&mut conn, &sweep_json(9, 2, 150_000, ", \"compiled\": \"yes\""));
     assert_eq!(recv(&mut conn), error_frame(9, 400, "`compiled` must be a bool"));
+    server.request_shutdown();
+    server.join().expect("join");
+}
+
+/// `"fast_forward"` is accepted and ignored, exactly like `"compiled"`:
+/// every sweep runs the one token walk, so requests that differ only in
+/// it share one `SweepKey` — one `sweeps_by_key` series, the third
+/// request a cache hit — and a non-bool is still a `400`.
+#[test]
+fn fast_forward_true_and_false_share_one_key() {
+    let server = Server::start(ServerConfig {
+        batch_records: 2,
+        metrics_addr: Some("127.0.0.1:0".into()),
+        ..ServerConfig::default()
+    })
+    .expect("start");
+    let cfg = EvalConfig {
+        synthetic_count: 2,
+        max_mesh_cycles: 150_000,
+        threads: 1,
+        ..EvalConfig::default()
+    };
+    let eval = Evaluation::run(&cfg);
+    let batches = expected_batch_payloads(&eval, 2);
+
+    let mut conn = connect(&server);
+    for (id, fast_forward) in [(1u64, "true"), (2, "false"), (3, "true")] {
+        let extra = format!(", \"fast_forward\": {fast_forward}, \"tables\": [22]");
+        send(&mut conn, &sweep_json(id, 2, 150_000, &extra));
+        let frames = read_sweep(&mut conn, id);
+        assert_eq!(frames.len(), batches.len() + 1, "request {id}");
+        for (seq, (lo, payload)) in batches.iter().enumerate() {
+            assert_eq!(frames[seq], batch_frame(id, seq, *lo, payload), "request {id} batch {seq}");
+        }
+        assert_eq!(frames[batches.len()], done_frame(id, &eval, false, &[22]), "request {id}");
+    }
+    let m = metrics(&mut conn);
+    assert_eq!(num(&m, "result_cache", "misses"), 2);
+    assert_eq!(num(&m, "result_cache", "hits"), 1, "the second sight admitted the shared key");
+    assert_eq!(num(&m, "result_cache", "entries"), 1);
+    assert_eq!(num(&m, "server", "sweeps"), 2);
+
+    let page = http_get(server.metrics_addr().expect("sidecar"), "/metrics");
+    let keys: Vec<&str> =
+        page.lines().filter(|l| l.starts_with("javaflow_server_sweeps_by_key_total{")).collect();
+    assert_eq!(
+        keys,
+        ["javaflow_server_sweeps_by_key_total{synthetic=\"2\",max_mesh_cycles=\"150000\",net=\"ideal\"} 2"],
+        "{page}"
+    );
+
+    send(&mut conn, &sweep_json(9, 2, 150_000, ", \"fast_forward\": \"yes\""));
+    assert_eq!(recv(&mut conn), error_frame(9, 400, "`fast_forward` must be a bool"));
     server.request_shutdown();
     server.join().expect("join");
 }

@@ -124,12 +124,18 @@ fn truncated_frames_neither_hang_nor_crash_the_server() {
 #[test]
 fn deadlines_cancel_between_batches_with_504() {
     // One record per batch: the deadline is checked at every batch
-    // boundary. The deadline is generous enough for the first batches to
-    // stream and far too short for the whole population.
+    // boundary. The deadline is generous enough for the population to be
+    // prepared and the first batches to stream, even in a debug build, and
+    // far too short for the whole population, even in a release build: a
+    // synthetic-1500 sweep pinned to one thread is seconds of simulation
+    // however many cores the host has.
     let server =
         Server::start(ServerConfig { batch_records: 1, ..ServerConfig::default() }).expect("start");
     let mut conn = connect(&server);
-    send(&mut conn, "{\"kind\": \"sweep\", \"id\": 7, \"synthetic\": 100, \"deadline_ms\": 700}");
+    send(
+        &mut conn,
+        "{\"kind\": \"sweep\", \"id\": 7, \"synthetic\": 1500, \"threads\": 1, \"deadline_ms\": 1200}",
+    );
     let first = recv(&mut conn).expect("accepted");
     assert!(first.starts_with("{\"type\": \"accepted\""), "{first}");
     let mut batches = 0usize;

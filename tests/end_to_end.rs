@@ -140,7 +140,6 @@ fn sha1_block_co_simulates_on_the_fabric() {
             gpp: Gpp::Interp(&mut gpp),
             args: vec![st_f, w_f],
             max_mesh_cycles: 5_000_000,
-            fast_forward: true,
         },
     );
     assert!(matches!(report.outcome, Outcome::Returned(None)), "{:?}", report.outcome);

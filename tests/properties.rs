@@ -168,7 +168,6 @@ fn fabric_matches_interpreter_on_generated_programs() {
                     gpp: Gpp::Interp(&mut gpp),
                     args: args.to_vec(),
                     max_mesh_cycles: 2_000_000,
-                    fast_forward: true,
                 },
             );
             match &report.outcome {
