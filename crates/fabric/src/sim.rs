@@ -27,7 +27,20 @@
 //!   prefix-summed offsets), not per-node structs of `Vec`s;
 //! * each method is pre-decoded once into a [`DecodedMethod`] dispatch
 //!   table, so firing an instruction reads a `Copy` record instead of
-//!   cloning the `Insn` and re-matching its opcode group.
+//!   cloning the `Insn` and re-matching its opcode group;
+//! * an event is 24 bytes (value, node, side, kind): a token's register
+//!   number rides in `side` and a memory order number in `value`, so
+//!   every push, bucket refile and batch drain moves half of what a
+//!   `Token` plus `Option<Value>` event did;
+//! * most events are REGISTER tokens passing a node that neither watches
+//!   nor buffers them (53.3M of 78.8M on synthetic 1500). A per-node `u16`
+//!   watch slab, filled at reset from the decode table and the graph's
+//!   liveness, lets such a hop read only that entry, the flag byte, the
+//!   redirect and a precomputed linear hop delay before pushing the next
+//!   hop; only tokens a node may act on take the full firing rule. The
+//!   walk still schedules every hop: skipping hops would change where
+//!   later pushes land in a same-tick bucket's FIFO order, and with it
+//!   the reports.
 
 use std::sync::Arc;
 
@@ -411,9 +424,17 @@ pub enum Gpp<'g, 'p> {
     Stub,
 }
 
+/// What a scheduled event delivers. The four serial kinds are the
+/// bundle's tokens (Figure 23); a token's payload rides in [`Ev`]'s
+/// `side` (register number) and `value` (register value, or the memory
+/// order number as a `Long`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 enum EvKind {
-    Serial,
+    Head,
+    Memory,
+    Register,
+    Tail,
     Mesh,
     ExecDone,
     ServiceDone,
@@ -424,12 +445,60 @@ enum EvKind {
 /// the old explicit sequence number.
 #[derive(Debug, Clone, Copy)]
 struct Ev {
-    kind: EvKind,
+    /// Mesh operand, register value, or memory order number.
+    value: Value,
     node: u32,
-    token: Option<Token>,
+    /// Mesh operand side, or register number.
     side: u16,
-    value: Option<Value>,
+    kind: EvKind,
 }
+
+// Every push, bucket refile and batch drain copies events: keep them at
+// 24 bytes.
+const _: () = assert!(std::mem::size_of::<Ev>() == 24);
+
+impl Ev {
+    /// A token delivered to serial node `node`.
+    fn serial(node: u32, token: Token) -> Ev {
+        let (kind, side, value) = match token {
+            Token::Head => (EvKind::Head, 0, Value::Int(0)),
+            Token::Memory(order) => (EvKind::Memory, 0, Value::Long(order as i64)),
+            Token::Register { reg, value } => (EvKind::Register, reg, value),
+            Token::Tail => (EvKind::Tail, 0, Value::Int(0)),
+        };
+        Ev { value, node, side, kind }
+    }
+
+    /// A payload-free event (execution or service completion).
+    fn at_node(kind: EvKind, node: u32) -> Ev {
+        Ev { value: Value::Int(0), node, side: 0, kind }
+    }
+
+    /// The order number a MEMORY event carries.
+    fn order(&self) -> u64 {
+        match self.value {
+            Value::Long(order) => order as u64,
+            _ => 0,
+        }
+    }
+
+    /// The token a serial event carries.
+    fn token(&self) -> Token {
+        match self.kind {
+            EvKind::Head => Token::Head,
+            EvKind::Memory => Token::Memory(self.order()),
+            EvKind::Register => Token::Register { reg: self.side, value: self.value },
+            _ => Token::Tail,
+        }
+    }
+}
+
+/// [`SimArena::watch`] entry of a node that passes every register
+/// token: folded nodes and nodes that read no register.
+const WATCH_NONE: u16 = u16::MAX;
+/// [`SimArena::watch`] entry of a node that buffers every token until it
+/// completes (control flow and returns).
+const WATCH_BUFFER: u16 = u16::MAX - 1;
 
 // Per-node state flags (struct-of-arrays replacement for the old
 // per-node bool/Option fields).
@@ -470,8 +539,16 @@ pub struct SimArena {
     reg_captured: Vec<Value>,
     mem_token: Vec<u64>,
     mem_forward: Vec<u64>,
+    /// The register each node acts on: its own register for active local
+    /// reads, writes and increments, [`WATCH_BUFFER`] for active
+    /// buffering nodes, [`WATCH_NONE`] otherwise. Static per run; a
+    /// register token whose number differs passes without the node's
+    /// decoded record being read.
+    watch: Vec<u16>,
     /// Explicit route after a taken forward jump (`u32::MAX` = linear).
     redirect: Vec<u32>,
+    /// Serial ticks from each node to the next linear one.
+    next_delay: Vec<u32>,
     /// Decided back-jump target awaiting TAIL (`u32::MAX` = none).
     pending_back: Vec<u32>,
     operand_vals: Vec<Value>,
@@ -506,7 +583,9 @@ impl SimArena {
             reg_captured: Vec::new(),
             mem_token: Vec::new(),
             mem_forward: Vec::new(),
+            watch: Vec::new(),
             redirect: Vec::new(),
+            next_delay: Vec::new(),
             pending_back: Vec::new(),
             operand_vals: Vec::new(),
             operand_set: Vec::new(),
@@ -520,8 +599,10 @@ impl SimArena {
         }
     }
 
-    /// Resets the slabs to `dm`'s shape, reusing allocations.
-    fn reset_for(&mut self, dm: &DecodedMethod) {
+    /// Resets the slabs to `lm`'s shape, reusing allocations; `hop` is
+    /// the configuration's serial hop in ticks.
+    fn reset_for(&mut self, lm: &LoadedMethod<'_>, hop: u64) {
+        let (dm, active, slots) = (&*lm.decoded, &lm.graph.active, &lm.placement.slots);
         let n = dm.insns.len();
         self.flags.clear();
         self.flags.resize(n, 0);
@@ -533,8 +614,23 @@ impl SimArena {
         self.mem_token.resize(n, 0);
         self.mem_forward.clear();
         self.mem_forward.resize(n, 0);
+        self.watch.clear();
+        self.watch.extend(dm.insns.iter().zip(active).map(|(d, &live)| {
+            if !live {
+                WATCH_NONE
+            } else if d.buffers_all {
+                WATCH_BUFFER
+            } else {
+                d.reg
+            }
+        }));
         self.redirect.clear();
         self.redirect.resize(n, u32::MAX);
+        self.next_delay.clear();
+        self.next_delay.extend(
+            slots.windows(2).map(|w| (u64::from(w[0].abs_diff(w[1])) * hop).max(hop) as u32),
+        );
+        self.next_delay.push(0);
         self.pending_back.clear();
         self.pending_back.resize(n, u32::MAX);
         self.operand_vals.clear();
@@ -767,7 +863,7 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
     ) -> Self {
         let n = lm.method.code.len();
         let dm: &'a DecodedMethod = &lm.decoded;
-        arena.reset_for(dm);
+        arena.reset_for(lm, cfg.serial_hop_ticks());
         arena.oracle.reset(params.mode);
         let max_ticks = params.max_mesh_cycles.saturating_mul(cfg.mesh_cycle_ticks());
         let class_ticks = cfg.class_ticks();
@@ -820,32 +916,21 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
         }
     }
 
-    fn push_ev(
-        &mut self,
-        at: u64,
-        kind: EvKind,
-        node: u32,
-        token: Option<Token>,
-        side: u16,
-        value: Option<Value>,
-    ) {
-        self.arena.queue.push(at, Ev { kind, node, token, side, value });
-    }
-
-    fn send_serial(&mut self, from: u32, to: u32, token: Token) {
-        let delay = self.serial_transit(from, to).max(self.serial_hop());
+    /// Sends serial event `ev` (addressed to `ev.node`) from node `from`,
+    /// arriving `delay` ticks from now.
+    fn send_serial(&mut self, from: u32, delay: u64, ev: Ev) {
         self.serial_msgs += 1;
         if S::ACTIVE {
             self.tracer.record(&TraceEvent {
                 tick: self.now,
                 kind: TraceKind::TokenSend,
                 node: from,
-                arg: to,
-                data: encode_token(&token),
+                arg: ev.node,
+                data: encode_token(&ev.token()),
                 aux: self.now + delay,
             });
         }
-        self.push_ev(self.now + delay, EvKind::Serial, to, Some(token), 0, None);
+        self.arena.queue.push(self.now + delay, ev);
     }
 
     /// Sends one mesh message (to a consumer node or a relay).
@@ -864,7 +949,9 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
                 aux: at,
             });
         }
-        self.push_ev(at, EvKind::Mesh, sink.consumer, None, sink.side, Some(value));
+        self.arena
+            .queue
+            .push(at, Ev { value, node: sink.consumer, side: sink.side, kind: EvKind::Mesh });
     }
 
     fn set_busy(&mut self, delta: i32) {
@@ -908,16 +995,11 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
             for &ev in &batch {
                 self.events += 1;
                 match ev.kind {
-                    EvKind::Serial => {
-                        if let Some(t) = ev.token {
-                            self.on_serial(ev.node, t);
-                        }
-                    }
-                    EvKind::Mesh => {
-                        if let Some(v) = ev.value {
-                            self.on_mesh(ev.node, ev.side, v);
-                        }
-                    }
+                    EvKind::Head => self.on_head(ev),
+                    EvKind::Memory => self.on_memory(ev),
+                    EvKind::Register => self.on_register(ev),
+                    EvKind::Tail => self.on_tail(ev),
+                    EvKind::Mesh => self.on_mesh(ev.node, ev.side, ev.value),
                     EvKind::ExecDone => self.on_exec_done(ev.node),
                     EvKind::ServiceDone => self.on_service_done(ev.node),
                 }
@@ -989,7 +1071,7 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
                 aux: (seq + 1) * hop,
             });
         }
-        self.push_ev((seq + 1) * hop, EvKind::Serial, 0, Some(token), 0, None);
+        self.arena.queue.push((seq + 1) * hop, Ev::serial(0, token));
     }
 
     /// The Anchor injects the token bundle at instruction 0.
@@ -1007,104 +1089,150 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
     /// Forwards a token from node `i` to its successor in the bundle's
     /// current route (next linear instruction, or the redirect target).
     fn forward(&mut self, i: u32, token: Token) {
+        self.forward_ev(i, Ev::serial(i, token));
+    }
+
+    /// [`Self::forward`] for a token already packed as an event.
+    fn forward_ev(&mut self, i: u32, ev: Ev) {
         let r = self.arena.redirect[i as usize];
-        let to = if r == u32::MAX { i + 1 } else { r };
-        if (to as usize) < self.n {
-            self.send_serial(i, to, token);
+        if r == u32::MAX {
+            if (i as usize) + 1 < self.n {
+                let delay = u64::from(self.arena.next_delay[i as usize]);
+                self.send_serial(i, delay, Ev { node: i + 1, ..ev });
+            }
+        } else if (r as usize) < self.n {
+            let delay = self.serial_transit(i, r).max(self.serial_hop());
+            self.send_serial(i, delay, Ev { node: r, ..ev });
         }
         // Tokens running past the last instruction return to the Anchor.
     }
 
-    fn on_serial(&mut self, i: u32, token: Token) {
-        let ix = i as usize;
-        let d = self.dm.insns[ix];
+    // Serial token arrivals. Folded nodes are inert pass-throughs;
+    // control-flow nodes and returns buffer every token until they
+    // complete.
 
-        // Folded nodes are inert pass-throughs.
+    /// HEAD arrives at node `i`.
+    fn on_head(&mut self, ev: Ev) {
+        let i = ev.node;
+        let ix = i as usize;
         if !self.lm.graph.active[ix] {
-            self.forward(i, token);
+            self.forward_ev(i, ev);
             return;
         }
+        let flags = self.arena.flags[ix];
+        self.arena.flags[ix] = flags | F_HEAD;
+        if self.dm.insns[ix].buffers_all && flags & F_COMPLETED == 0 {
+            self.arena.buffers[ix].push(Token::Head);
+        } else {
+            self.forward_ev(i, ev);
+        }
+        self.try_fire(i);
+    }
 
-        // Control-flow nodes buffer every token until they fire
-        // (returns and gotos too).
+    /// MEMORY arrives at node `i`: ordered storage holds it until it
+    /// fires, every other node passes it on.
+    fn on_memory(&mut self, ev: Ev) {
+        let i = ev.node;
+        let ix = i as usize;
+        if !self.lm.graph.active[ix] {
+            self.forward_ev(i, ev);
+            return;
+        }
+        let flags = self.arena.flags[ix];
+        let d = &self.dm.insns[ix];
+        if d.buffers_all && flags & F_COMPLETED == 0 {
+            self.arena.buffers[ix].push(ev.token());
+        } else if d.ordered_mem && flags & F_FIRED == 0 {
+            self.arena.mem_token[ix] = ev.order();
+            self.arena.flags[ix] |= F_MEM_SET;
+            self.try_fire(i);
+        } else {
+            self.forward_ev(i, ev);
+        }
+    }
+
+    /// A REGISTER token arrives. Most arrivals are at nodes that neither
+    /// watch that register nor buffer: they pass it on from the `watch`
+    /// slab and the flag byte alone, emitting what the full rule would
+    /// (the observation at an active node, then the send). Folded nodes
+    /// watch nothing, so the full rule below only sees active nodes.
+    fn on_register(&mut self, ev: Ev) {
+        let i = ev.node;
+        let ix = i as usize;
+        let w = self.arena.watch[ix];
+        let flags = self.arena.flags[ix];
+        let reg = ev.side;
+        if w != reg && (w != WATCH_BUFFER || flags & F_COMPLETED != 0) {
+            if S::ACTIVE && self.lm.graph.active[ix] {
+                self.observe_register(i, flags, reg, &ev.value);
+            }
+            self.forward_ev(i, ev);
+            return;
+        }
+        if S::ACTIVE {
+            self.observe_register(i, flags, reg, &ev.value);
+        }
+        let d = &self.dm.insns[ix];
+        let interested = d.reg != u16::MAX && d.reg == reg;
+        if d.buffers_all && flags & F_COMPLETED == 0 {
+            self.arena.buffers[ix].push(ev.token());
+        } else if interested && d.group == InstructionGroup::LocalWrite {
+            // The write kills the register: absorb the stale token
+            // unconditionally. The write may already have fired and
+            // emitted the fresh token — "this can result in the
+            // re-ordering of the REGISTER_TOKEN messages" (Section 6.3) —
+            // but the killed value must never pass.
+            self.try_fire(i);
+        } else if interested
+            && flags & F_FIRED == 0
+            && matches!(d.group, InstructionGroup::LocalRead | InstructionGroup::LocalInc)
+        {
+            self.arena.reg_captured[ix] = ev.value;
+            self.arena.flags[ix] |= F_REG_SET;
+            self.try_fire(i);
+        } else {
+            self.forward_ev(i, ev);
+        }
+    }
+
+    /// Records a register token's arrival at active node `i`.
+    fn observe_register(&mut self, i: u32, flags: u8, reg: u16, value: &Value) {
+        let (tag, bits) = encode_value(value);
+        let status =
+            (u32::from(flags & F_FIRED != 0) << 16) | (u32::from(flags & F_COMPLETED != 0) << 17);
+        self.tracer.record(&TraceEvent {
+            tick: self.now,
+            kind: TraceKind::RegObserve,
+            node: i,
+            arg: u32::from(reg) | status,
+            data: bits,
+            aux: tag,
+        });
+    }
+
+    /// TAIL arrives at node `i`: it never passes an unfired node.
+    fn on_tail(&mut self, ev: Ev) {
+        let i = ev.node;
+        let ix = i as usize;
+        if !self.lm.graph.active[ix] {
+            self.forward_ev(i, ev);
+            return;
+        }
         let flags = self.arena.flags[ix];
         let completed = flags & F_COMPLETED != 0;
-
-        match token {
-            Token::Head => {
-                self.arena.flags[ix] |= F_HEAD;
-                if d.buffers_all && !completed {
-                    self.arena.buffers[ix].push(Token::Head);
-                } else {
-                    self.forward(i, Token::Head);
-                }
-                self.try_fire(i);
-            }
-            Token::Memory(order) => {
-                if d.buffers_all && !completed {
-                    self.arena.buffers[ix].push(Token::Memory(order));
-                } else if d.ordered_mem && flags & F_FIRED == 0 {
-                    // Ordered storage holds the memory token until it fires.
-                    self.arena.mem_token[ix] = order;
-                    self.arena.flags[ix] |= F_MEM_SET;
-                    self.try_fire(i);
-                } else {
-                    self.forward(i, Token::Memory(order));
-                }
-            }
-            Token::Register { reg, value } => {
-                if S::ACTIVE {
-                    let (tag, bits) = encode_value(&value);
-                    let status =
-                        (u32::from(flags & F_FIRED != 0) << 16) | (u32::from(completed) << 17);
-                    self.tracer.record(&TraceEvent {
-                        tick: self.now,
-                        kind: TraceKind::RegObserve,
-                        node: i,
-                        arg: u32::from(reg) | status,
-                        data: bits,
-                        aux: tag,
-                    });
-                }
-                let interested = d.reg != u16::MAX && d.reg == reg;
-                if d.buffers_all && !completed {
-                    self.arena.buffers[ix].push(Token::Register { reg, value });
-                } else if interested && d.group == InstructionGroup::LocalWrite {
-                    // The write kills the register: absorb the stale token
-                    // unconditionally. The write may already have fired and
-                    // emitted the fresh token — "this can result in the
-                    // re-ordering of the REGISTER_TOKEN messages"
-                    // (Section 6.3) — but the killed value must never pass.
-                    self.try_fire(i);
-                } else if interested && flags & F_FIRED == 0 {
-                    match d.group {
-                        InstructionGroup::LocalRead | InstructionGroup::LocalInc => {
-                            self.arena.reg_captured[ix] = value;
-                            self.arena.flags[ix] |= F_REG_SET;
-                            self.try_fire(i);
-                        }
-                        _ => self.forward(i, Token::Register { reg, value }),
-                    }
-                } else {
-                    self.forward(i, Token::Register { reg, value });
-                }
-            }
-            Token::Tail => {
-                if d.buffers_all && !completed {
-                    self.arena.flags[ix] |= F_TAIL_BUF;
-                    self.arena.buffers[ix].push(Token::Tail);
-                    self.try_fire(i);
-                    self.maybe_reinject(i);
-                } else if completed || flags & F_HEAD == 0 {
-                    // Pass: the node has finished (or was bypassed and the
-                    // tail is explicitly routed past it — cannot happen on
-                    // the ordered network; completed is the normal case).
-                    self.forward(i, Token::Tail);
-                } else {
-                    self.arena.flags[ix] |= F_TAIL_BUF;
-                    self.try_fire(i);
-                }
-            }
+        if self.dm.insns[ix].buffers_all && !completed {
+            self.arena.flags[ix] |= F_TAIL_BUF;
+            self.arena.buffers[ix].push(Token::Tail);
+            self.try_fire(i);
+            self.maybe_reinject(i);
+        } else if completed || flags & F_HEAD == 0 {
+            // Pass: the node has finished (or was bypassed and the tail
+            // is explicitly routed past it — cannot happen on the ordered
+            // network; completed is the normal case).
+            self.forward_ev(i, ev);
+        } else {
+            self.arena.flags[ix] |= F_TAIL_BUF;
+            self.try_fire(i);
         }
     }
 
@@ -1309,7 +1437,7 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
                 }
             }
         }
-        self.push_ev(self.now + exec_ticks, EvKind::ExecDone, i, None, 0, None);
+        self.arena.queue.push(self.now + exec_ticks, Ev::at_node(EvKind::ExecDone, i));
     }
 
     /// Completion of the execution stage.
@@ -1376,12 +1504,12 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
                     self.forward(i, Token::Memory(order));
                 }
                 let service = self.net.memory_delay(self.cfg, self.now, &mut *self.tracer);
-                self.push_ev(self.now + service, EvKind::ServiceDone, i, None, 0, None);
+                self.arena.queue.push(self.now + service, Ev::at_node(EvKind::ServiceDone, i));
                 return;
             }
             InstructionGroup::Call | InstructionGroup::Special => {
                 let service = self.net.gpp_delay(self.cfg, self.now, &mut *self.tracer);
-                self.push_ev(self.now + service, EvKind::ServiceDone, i, None, 0, None);
+                self.arena.queue.push(self.now + service, Ev::at_node(EvKind::ServiceDone, i));
                 return;
             }
             InstructionGroup::MemWrite => {
@@ -1501,7 +1629,7 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
                     aux: self.now + base + k as u64 * hop,
                 });
             }
-            self.push_ev(self.now + base + k as u64 * hop, EvKind::Serial, to, Some(t), 0, None);
+            self.arena.queue.push(self.now + base + k as u64 * hop, Ev::serial(to, t));
         }
         self.arena.buffers[ix].clear();
     }
@@ -1547,14 +1675,7 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
                     aux: self.now + base + k as u64 * hop,
                 });
             }
-            self.push_ev(
-                self.now + base + k as u64 * hop,
-                EvKind::Serial,
-                target,
-                Some(t),
-                0,
-                None,
-            );
+            self.arena.queue.push(self.now + base + k as u64 * hop, Ev::serial(target, t));
         }
         self.arena.scratch.clear();
     }
@@ -1811,5 +1932,25 @@ fn register_of(insn: &javaflow_bytecode::Insn) -> Option<u16> {
         Operand::Local(r) => Some(r),
         Operand::Inc { local, .. } => Some(local),
         _ => compact_register(insn.op),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn serial_events_carry_their_token() {
+        for token in [
+            Token::Head,
+            Token::Memory(0),
+            Token::Memory(u64::MAX),
+            Token::Register { reg: 11, value: Value::Double(-0.5) },
+            Token::Register { reg: u16::MAX - 1, value: Value::Ref(None) },
+            Token::Tail,
+        ] {
+            let ev = Ev::serial(3, token);
+            assert_eq!((ev.node, ev.token()), (3, token));
+        }
     }
 }
