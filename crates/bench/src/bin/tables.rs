@@ -142,17 +142,12 @@ fn bench_eval(synthetic: usize, threads: usize) {
 }
 
 /// Times the event kernel itself: a serial sweep (wall time, scheduler
-/// events processed, heap allocations) and a parallel sweep, checks both
-/// produce identical reports, and records the numbers — plus the
-/// pre-timing-wheel baseline for comparison — in `BENCH_kernel.json`.
+/// events processed, nanoseconds per event, heap allocations) and a
+/// parallel sweep, checks both produce identical reports, and records the
+/// numbers with the host's core count in `BENCH_kernel.json`. A speedup
+/// against another commit is measured by running both on one host, not
+/// against a figure recorded here.
 fn bench_kernel(synthetic: usize, threads: usize) {
-    // serial_secs of the committed BENCH_kernel.json for the timing-wheel
-    // kernel at synthetic 1500, measured when it last ran only the naive
-    // per-node walk (before token-walk fast-forwarding was added; it has
-    // since been removed again).
-    const BASELINE_SERIAL_SECS: f64 = 3.762;
-    const BASELINE_SYNTHETIC: usize = 1500;
-
     let a0 = ALLOCS.load(Relaxed);
     let b0 = ALLOC_BYTES.load(Relaxed);
     let t1 = Instant::now();
@@ -172,17 +167,14 @@ fn bench_kernel(synthetic: usize, threads: usize) {
 
     let events: u64 = serial.samples.iter().map(|s| s.report.events).sum();
     let events_per_sec = events as f64 / serial_secs.max(1e-9);
+    let ns_per_event = serial_secs * 1e9 / events.max(1) as f64;
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let samples = serial.samples.len().max(1);
     let allocs_per_sample = serial_allocs as f64 / samples as f64;
-    let speedup_vs_baseline = if synthetic == BASELINE_SYNTHETIC {
-        BASELINE_SERIAL_SECS / serial_secs.max(1e-9)
-    } else {
-        0.0
-    };
 
     let metrics = serial.metrics().to_json();
     let json = format!(
-        "{{\n  \"benchmark\": \"tables --bench-kernel --synthetic {synthetic}\",\n  \"records\": {},\n  \"samples\": {},\n  \"threads\": {threads},\n  \"threads_used\": {},\n  \"serial_secs\": {serial_secs:.3},\n  \"parallel_secs\": {parallel_secs:.3},\n  \"parallel_speedup\": {:.2},\n  \"events\": {events},\n  \"events_per_sec\": {events_per_sec:.0},\n  \"serial_allocs\": {serial_allocs},\n  \"serial_alloc_bytes\": {serial_alloc_bytes},\n  \"allocs_per_sample\": {allocs_per_sample:.1},\n  \"baseline_serial_secs\": {BASELINE_SERIAL_SECS},\n  \"baseline_synthetic\": {BASELINE_SYNTHETIC},\n  \"speedup_vs_baseline\": {speedup_vs_baseline:.2},\n  \"identical_output\": {identical},\n  \"utilization\": {},\n  \"metrics\": {metrics}\n}}\n",
+        "{{\n  \"benchmark\": \"tables --bench-kernel --synthetic {synthetic}\",\n  \"records\": {},\n  \"samples\": {},\n  \"threads\": {threads},\n  \"threads_used\": {},\n  \"serial_secs\": {serial_secs:.3},\n  \"parallel_secs\": {parallel_secs:.3},\n  \"parallel_speedup\": {:.2},\n  \"events\": {events},\n  \"events_per_sec\": {events_per_sec:.0},\n  \"ns_per_event\": {ns_per_event:.2},\n  \"nproc\": {nproc},\n  \"serial_allocs\": {serial_allocs},\n  \"serial_alloc_bytes\": {serial_alloc_bytes},\n  \"allocs_per_sample\": {allocs_per_sample:.1},\n  \"identical_output\": {identical},\n  \"utilization\": {},\n  \"metrics\": {metrics}\n}}\n",
         serial.records.len(),
         serial.samples.len(),
         parallel.sweep.threads_used,
