@@ -1,11 +1,11 @@
-//! Shared JSON assembly for execution reports and sweep telemetry.
+//! Shared JSON assembly for execution reports.
 //!
 //! The bench artifacts (`BENCH_evaluation.json`, `BENCH_kernel.json`,
 //! `BENCH_serve.json`) and the `javaflow-serve` wire protocol both
-//! serialize [`ExecReport`]s and scheduler utilization. Hand-rolling the
-//! strings in two places let the formats drift; every producer now calls
-//! through here, so a response streamed by the server is byte-identical
-//! to the same report serialized in-process.
+//! serialize [`ExecReport`]s. Hand-rolling the strings in two places let
+//! the formats drift; every producer now calls through here, so a
+//! response streamed by the server is byte-identical to the same report
+//! serialized in-process.
 //!
 //! The crate is std-only, so this is a tiny hand-rolled emitter, not a
 //! serde stand-in: integers via `Display`, floats via [`push_f64`]
@@ -64,39 +64,6 @@ pub fn push_f64(out: &mut String, v: f64) {
     } else {
         out.push_str("null");
     }
-}
-
-/// One worker's scheduling telemetry, decoupled from the sweep scheduler
-/// so this crate (which `core` depends on) can render it. `core` adapts
-/// its `WorkerStats` into this via `SweepStats::utilization()`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkerUtilization {
-    /// Records this worker executed.
-    pub records_done: u64,
-    /// Wall time spent inside the per-record closure.
-    pub busy_secs: f64,
-    /// Batches claimed from the shared queue.
-    pub batches: u64,
-    /// Batches stolen from other workers' in-progress ranges.
-    pub steals: u64,
-}
-
-/// Renders scheduling telemetry as the `"utilization"` array of the
-/// `BENCH_*.json` artifacts: per-worker records/busy-time/batch/steal
-/// counts. The layout is load-bearing — CI greps these keys.
-pub fn utilization_json(workers: &[WorkerUtilization]) -> String {
-    let mut out = String::from("[");
-    for (i, w) in workers.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"worker\": {i}, \"records_done\": {}, \"busy_secs\": {:.3}, \"batches\": {}, \"steals\": {}}}",
-            w.records_done, w.busy_secs, w.batches, w.steals,
-        ));
-    }
-    out.push(']');
-    out
 }
 
 /// Appends one [`Outcome`] as a JSON string value (quotes included).
@@ -218,20 +185,6 @@ mod tests {
         // Shortest round-trip: parsing the emitted text recovers the bits.
         let v = 0.1f64 + 0.2;
         assert_eq!(f64_json(v).parse::<f64>().unwrap().to_bits(), v.to_bits());
-    }
-
-    #[test]
-    fn utilization_layout_matches_the_bench_artifacts() {
-        let workers = [
-            WorkerUtilization { records_done: 7, busy_secs: 0.1234, batches: 3, steals: 1 },
-            WorkerUtilization { records_done: 5, busy_secs: 0.1, batches: 2, steals: 0 },
-        ];
-        assert_eq!(
-            utilization_json(&workers),
-            "[{\"worker\": 0, \"records_done\": 7, \"busy_secs\": 0.123, \"batches\": 3, \"steals\": 1}, \
-             {\"worker\": 1, \"records_done\": 5, \"busy_secs\": 0.100, \"batches\": 2, \"steals\": 0}]"
-        );
-        assert_eq!(utilization_json(&[]), "[]");
     }
 
     #[test]

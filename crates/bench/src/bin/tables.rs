@@ -30,7 +30,6 @@
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
-use javaflow_analysis::report_json::utilization_json;
 use javaflow_bench::{chapter5_tables, chapter7_tables, profile_suite};
 use javaflow_core::parallel::default_threads;
 use javaflow_core::{EvalConfig, Evaluation};
@@ -134,7 +133,7 @@ fn bench_eval(synthetic: usize, threads: usize) {
         serial.records.len(),
         serial.samples.len(),
         parallel.sweep.threads_used,
-        utilization_json(&parallel.sweep.utilization()),
+        parallel.sweep.utilization_json(),
     );
     std::fs::write("BENCH_evaluation.json", &json).expect("write BENCH_evaluation.json");
     println!("{json}");
@@ -179,7 +178,7 @@ fn bench_kernel(synthetic: usize, threads: usize) {
         serial.samples.len(),
         parallel.sweep.threads_used,
         serial_secs / parallel_secs.max(1e-9),
-        utilization_json(&parallel.sweep.utilization()),
+        parallel.sweep.utilization_json(),
     );
     std::fs::write("BENCH_kernel.json", &json).expect("write BENCH_kernel.json");
     println!("{json}");

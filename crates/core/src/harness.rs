@@ -14,13 +14,13 @@ use std::sync::Arc;
 use javaflow_analysis::{pearson, Summary};
 use javaflow_bytecode::{verify, Cfg};
 use javaflow_fabric::{
-    place, prepare, resolve, ArenaPool, BranchMode, CostProfile, ExecParams, ExecReport,
-    FabricConfig, LoadedMethod, MetricsRegistry, NetKind, Outcome, ResolveStats, SimArena,
+    place, resolve, BranchMode, ExecParams, ExecReport, FabricConfig, LoadedMethod,
+    MetricsRegistry, NetKind, Outcome, ResolveStats, SimArena,
 };
 use javaflow_workloads::SuiteKind;
 
-use crate::parallel::{default_threads, sweep_ordered, SweepStats};
-use crate::{population, Filter, MethodRecord};
+use crate::parallel::{default_threads, SweepStats};
+use crate::{Filter, MethodRecord, PreparedPopulation};
 
 /// Evaluation parameters.
 #[derive(Debug, Clone)]
@@ -105,8 +105,6 @@ pub struct Sample {
 pub struct Evaluation {
     /// The population, shared with the [`PreparedPopulation`] a resident
     /// sweep came from rather than deep-copied per sweep.
-    ///
-    /// [`PreparedPopulation`]: crate::PreparedPopulation
     pub records: Arc<[MethodRecord]>,
     /// The machine configurations, index-aligned with sample/config ids.
     pub configs: Vec<FabricConfig>,
@@ -115,9 +113,9 @@ pub struct Evaluation {
     /// All execution samples.
     pub samples: Vec<Sample>,
     /// Scheduling telemetry from the sweep: workers actually used plus
-    /// per-worker records/busy-time/batch/steal counts. Unlike every
-    /// other field, this is **not** deterministic — it describes how the
-    /// work-stealing scheduler happened to distribute the records.
+    /// per-worker record counts and busy time. Unlike every other field,
+    /// this is **not** deterministic — it describes which worker happened
+    /// to claim each record from the shared cursor.
     pub sweep: SweepStats,
     /// `(record, config, bp)` → index into `samples`, built once after
     /// the sweep so [`Evaluation::sample`] is O(1).
@@ -139,9 +137,8 @@ pub struct ConfigRow {
 impl Evaluation {
     /// Assembles an evaluation from per-record sweep results (statics plus
     /// that record's samples, in record order), building the O(1) sample
-    /// index. [`Evaluation::run`] and the resident-process service path
-    /// (`core::service`) both finish through here, so the in-memory shape
-    /// cannot depend on which path produced it.
+    /// index. Every sweep ([`Evaluation::run`] and the resident-process
+    /// path, `core::service`) finishes through here.
     #[must_use]
     pub fn assemble(
         records: impl Into<Arc<[MethodRecord]>>,
@@ -161,61 +158,21 @@ impl Evaluation {
         Evaluation { records, configs, statics, samples, sweep, sample_index }
     }
 
-    /// Runs the full evaluation.
+    /// Runs the full evaluation: builds and prepares the population
+    /// ([`PreparedPopulation::prepare`]) and sweeps it once
+    /// ([`PreparedPopulation::evaluate`]), so a batch run and a resident
+    /// server take the same path.
     ///
-    /// Records are swept on [`EvalConfig::threads`] work-stealing workers
-    /// in **descending predicted cost** (tail-first: static length scaled
-    /// by a persisted `events_per_run` profile when
-    /// `JAVAFLOW_COST_PROFILE` names one), each worker drawing a warm
-    /// [`SimArena`] from the process-wide [`ArenaPool`]. The results are
-    /// spliced back in record order, so the output is bit-identical to a
-    /// serial run at any thread count and under any schedule.
+    /// Records are swept on [`EvalConfig::threads`] workers that claim
+    /// one record at a time from a shared cursor over a schedule in
+    /// descending static length (ties by index), each worker drawing a
+    /// warm [`SimArena`] from the process-wide
+    /// [`ArenaPool`](javaflow_fabric::ArenaPool). The results are spliced
+    /// back in record order, so the output is bit-identical to a serial
+    /// run at any thread count.
     #[must_use]
     pub fn run(cfg: &EvalConfig) -> Evaluation {
-        let records = population(cfg.synthetic_count);
-        let configs: Vec<FabricConfig> =
-            cfg.configs.iter().map(|c| c.clone().with_net(cfg.net)).collect();
-
-        let profile_path = std::env::var_os("JAVAFLOW_COST_PROFILE").map(std::path::PathBuf::from);
-        let profile = profile_path.as_deref().and_then(CostProfile::load);
-        let schedule = cost_schedule(&records, profile.as_ref());
-
-        let pool = ArenaPool::global();
-        let swept = sweep_ordered(
-            &records,
-            cfg.threads,
-            &schedule,
-            || pool.checkout(),
-            |arena| pool.checkin(arena),
-            |arena, ri, rec| eval_record(ri, rec, &configs, cfg.max_mesh_cycles, arena),
-        );
-
-        let eval = Evaluation::assemble(records, configs, swept.results, swept.stats);
-        if let Some(path) = profile_path {
-            // Fold this sweep's observed costs into the persisted profile
-            // so the next sweep (or the next process) schedules from
-            // measured history. Best-effort: a read-only path must not
-            // fail the evaluation.
-            let mut updated = profile.unwrap_or_default();
-            updated.merge(&eval.cost_profile());
-            if let Err(e) = updated.save(&path) {
-                eprintln!("JAVAFLOW_COST_PROFILE: could not persist {}: {e}", path.display());
-            }
-        }
-        eval
-    }
-
-    /// The run-cost profile observed by this sweep: every sample's
-    /// scheduler-event count keyed by its record's static length. Feeds
-    /// the tail-first dispatch of later sweeps (persisted via
-    /// `JAVAFLOW_COST_PROFILE`).
-    #[must_use]
-    pub fn cost_profile(&self) -> CostProfile {
-        let mut p = CostProfile::new();
-        for s in &self.samples {
-            p.observe(self.records[s.record].len(), s.report.events);
-        }
-        p
+        PreparedPopulation::prepare(cfg.synthetic_count, cfg.threads).evaluate(cfg)
     }
 
     fn baseline_index(&self) -> usize {
@@ -467,45 +424,28 @@ impl Evaluation {
     }
 }
 
-/// Builds the dispatch schedule: record indices in **descending**
-/// predicted cost (ties broken by index, so the order is deterministic).
+/// Builds the dispatch schedule: record indices in **descending** static
+/// instruction count, ties broken by index, so the order is deterministic.
 ///
-/// The predictor is the record's static instruction count — the routing
-/// graph a [`prepare`] produces is node-per-instruction, so length is the
-/// graph size — refined to predicted scheduler events when a persisted
-/// [`CostProfile`] is available. Every record contributes the same number
-/// of scripted runs (configs × branch scripts), so per-run cost orders
-/// the records directly.
-pub(crate) fn cost_schedule(records: &[MethodRecord], profile: Option<&CostProfile>) -> Vec<u32> {
-    let cost: Vec<u64> =
-        records.iter().map(|r| profile.map_or(r.len() as u64, |p| p.predict(r.len()))).collect();
+/// The routing graph a [`prepare`](javaflow_fabric::prepare) produces is
+/// node-per-instruction, so length is the graph size, and every record
+/// contributes the same number of scripted runs (configs × branch
+/// scripts), so per-record length orders the records directly.
+pub(crate) fn cost_schedule(records: &[MethodRecord]) -> Vec<u32> {
     let mut schedule: Vec<u32> = (0..records.len() as u32).collect();
-    schedule.sort_by(|&a, &b| cost[b as usize].cmp(&cost[a as usize]).then(a.cmp(&b)));
+    schedule.sort_by(|&a, &b| {
+        records[b as usize].len().cmp(&records[a as usize].len()).then(a.cmp(&b))
+    });
     schedule
 }
 
 /// The complete (pure) per-record work unit: statics plus the scripted
 /// runs over every configuration and both branch scripts.
 ///
-/// Resolution and the routing graph are configuration-independent, so the
-/// record is [`prepare`]d exactly once and each configuration only adds a
-/// placement; the caller's arena is reused across every run.
-pub(crate) fn eval_record(
-    ri: usize,
-    rec: &MethodRecord,
-    configs: &[FabricConfig],
-    max_mesh_cycles: u64,
-    arena: &mut SimArena,
-) -> (MethodStatics, Vec<Sample>) {
-    let prepared = prepare(&rec.method).ok();
-    eval_prepared(ri, rec, prepared.as_ref(), configs, max_mesh_cycles, arena)
-}
-
-/// [`eval_record`] with the [`prepare`] step hoisted out, so a resident
-/// process (`core::service`) can cache the prepared parts across sweeps
-/// and still run the *same* statics/sample assembly — byte-identity of
-/// served results against [`Evaluation::run`] is structural, not luck.
-/// `prepared` is `None` for fabric-inexecutable methods (jsr/switches).
+/// `prepared` holds the record's configuration-independent parts, built
+/// once by [`PreparedPopulation`], so each configuration only adds a
+/// placement; the caller's arena is reused across every run. `prepared`
+/// is `None` for fabric-inexecutable methods (jsr/switches).
 pub(crate) fn eval_prepared(
     ri: usize,
     rec: &MethodRecord,

@@ -1,18 +1,18 @@
 //! Resident-process evaluation: prepare the population once, sweep it
 //! many times.
 //!
-//! [`Evaluation::run`] re-prepares every method on every call — the right
-//! trade for a batch tool, pure waste for a long-lived server answering
-//! sweep after sweep over the same population. [`PreparedPopulation`]
-//! hoists the configuration-independent work (address resolution, the
-//! routing graph, the decoded dispatch tables — everything
-//! [`javaflow_fabric::prepare`] produces) out of the sweep and keeps it
-//! behind `Arc`s, so each request only pays placement and simulation.
+//! [`PreparedPopulation`] hoists the configuration-independent work
+//! (address resolution, the routing graph, the decoded dispatch tables —
+//! everything [`javaflow_fabric::prepare`] produces) out of the sweep and
+//! keeps it behind `Arc`s, so a long-lived server answering sweep after
+//! sweep over the same population only pays placement and simulation per
+//! request.
 //!
-//! The sweep itself runs through the *same* per-record assembly as
-//! [`Evaluation::run`] (`harness::eval_prepared`), so the served results
-//! are byte-identical to an in-process run by construction; a test pins
-//! it. [`PreparedPopulation::evaluate_batched`] additionally splits the
+//! [`Evaluation::run`] is `prepare` followed by one
+//! [`PreparedPopulation::evaluate`], so a batch run and a served sweep
+//! take the same path and their results are byte-identical by
+//! construction; a test pins it.
+//! [`PreparedPopulation::evaluate_batched`] additionally splits the
 //! record range into bounded batches with a cancellation callback between
 //! them — the seam `javaflow-serve` uses to stream progress and honour
 //! per-request deadlines without tearing down a half-finished batch.
@@ -30,7 +30,7 @@ use crate::{population, EvalConfig, Evaluation, MethodRecord, MethodStatics, Sam
 /// The `Arc`-shared products of one [`prepare`] call, stored without the
 /// `&Method` borrow so they can outlive any single sweep. `None` marks a
 /// fabric-inexecutable method (jsr/switches) — it still contributes
-/// statics, exactly as in [`Evaluation::run`].
+/// statics.
 #[derive(Debug)]
 struct PreparedParts {
     resolved: Arc<Resolved>,
@@ -120,7 +120,7 @@ impl PreparedPopulation {
         let configs: Vec<FabricConfig> =
             cfg.configs.iter().map(|c| c.clone().with_net(cfg.net)).collect();
         let slice = &self.records[lo..hi];
-        let schedule = cost_schedule(slice, None);
+        let schedule = cost_schedule(slice);
         let pool = ArenaPool::global();
         let swept = sweep_ordered(
             slice,
@@ -136,10 +136,10 @@ impl PreparedPopulation {
         (swept.results, swept.stats)
     }
 
-    /// Full evaluation from the cache — the resident-process equivalent
-    /// of [`Evaluation::run`], producing bit-identical records, statics,
-    /// and samples (the scheduling telemetry is the only nondeterministic
-    /// field on either path).
+    /// Full evaluation from the cache: bit-identical records, statics, and
+    /// samples at any thread count (the scheduling telemetry is the only
+    /// nondeterministic field). [`Evaluation::run`] is this after a fresh
+    /// [`PreparedPopulation::prepare`].
     ///
     /// # Panics
     ///
@@ -193,7 +193,8 @@ impl PreparedPopulation {
 }
 
 /// Folds one batch's scheduling telemetry into the sweep-wide totals:
-/// worker slots add field-wise, the used-thread count takes the maximum.
+/// worker slots add field-wise (`steals` is always 0), the used-thread
+/// count takes the maximum.
 fn merge_stats(into: &mut SweepStats, batch: &SweepStats) {
     into.threads_used = into.threads_used.max(batch.threads_used);
     if into.workers.len() < batch.workers.len() {
@@ -202,7 +203,5 @@ fn merge_stats(into: &mut SweepStats, batch: &SweepStats) {
     for (acc, w) in into.workers.iter_mut().zip(&batch.workers) {
         acc.records_done += w.records_done;
         acc.busy_secs += w.busy_secs;
-        acc.batches += w.batches;
-        acc.steals += w.steals;
     }
 }

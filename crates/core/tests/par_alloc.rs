@@ -2,8 +2,9 @@
 //! arena pool is warm, the per-record simulation work allocates nothing,
 //! so a whole sweep's heap traffic is a small constant (thread spawns
 //! plus a handful of pre-sized scheduler vectors) — **independent of the
-//! record count**. A per-record allocation anywhere in the claim / steal /
-//! splice path would scale with the item count and fail this test.
+//! record count**. A per-record allocation anywhere in the claim (one
+//! `fetch_add` on the shared cursor) or splice path would scale with the
+//! item count and fail this test.
 //!
 //! Single-test file on purpose: the counting `#[global_allocator]` is
 //! process-wide, and a concurrent test's allocations would show up in the

@@ -65,7 +65,7 @@ pub use branch::{BranchMode, BranchOracle};
 pub use config::{ConfigError, FabricConfig, Layout, HETERO_PATTERN};
 pub use enhance::{DataflowGraph, Relay};
 pub use manager::{AnchorId, FabricManager, ManageError};
-pub use metrics::{CostProfile, Histogram, MetricsRegistry};
+pub use metrics::{Histogram, MetricsRegistry};
 pub use net::{
     ContendedNet, IdealNet, NetKind, NetModel, NetParams, NetReport, NodeNetStat, RingReport,
 };

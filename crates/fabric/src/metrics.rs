@@ -365,148 +365,6 @@ impl MetricsRegistry {
     }
 }
 
-/// A persisted run-cost predictor: mean observed `events_per_run` keyed
-/// by the method's static-length log₂ bucket.
-///
-/// The sweep scheduler dispatches records in descending predicted cost so
-/// the long tail of the `events_per_run` histogram (max ≈ 548k events vs
-/// a mean of ≈ 3.8k) starts first instead of holding the join. Static
-/// instruction count is the predictor's key — it is known before any
-/// simulation — and a profile learned from a previous sweep's reports
-/// refines the raw length heuristic into actual event counts.
-///
-/// The profile serializes to a tiny line-oriented text format
-/// (`bucket count sum` per non-empty bucket) so a sweep can persist it
-/// (`JAVAFLOW_COST_PROFILE=path`) and the next sweep — or the next
-/// process, in server mode — schedules from measured history.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CostProfile {
-    /// Per-bucket sample counts; bucket = `bit_width(static_len)`.
-    counts: [u64; 33],
-    /// Per-bucket `events` sums.
-    sums: [u64; 33],
-}
-
-impl Default for CostProfile {
-    fn default() -> Self {
-        CostProfile { counts: [0; 33], sums: [0; 33] }
-    }
-}
-
-impl CostProfile {
-    /// An empty profile (every prediction falls back to the static
-    /// length itself).
-    #[must_use]
-    pub fn new() -> CostProfile {
-        CostProfile::default()
-    }
-
-    fn bucket(static_len: usize) -> usize {
-        (usize::BITS - static_len.leading_zeros()).min(32) as usize
-    }
-
-    /// Records one run: a method of `static_len` instructions processed
-    /// `events` scheduler events.
-    pub fn observe(&mut self, static_len: usize, events: u64) {
-        let b = CostProfile::bucket(static_len);
-        self.counts[b] += 1;
-        self.sums[b] += events;
-    }
-
-    /// Whether the profile holds any observations.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0)
-    }
-
-    /// Predicted events per run for a method of `static_len`
-    /// instructions: the mean of its bucket, else the nearest non-empty
-    /// bucket's mean, else `static_len` itself (so an empty profile
-    /// degrades to the proportional-to-size heuristic).
-    #[must_use]
-    pub fn predict(&self, static_len: usize) -> u64 {
-        let b = CostProfile::bucket(static_len);
-        if let Some(mean) = self.sums[b].checked_div(self.counts[b]) {
-            return mean;
-        }
-        for d in 1..=32usize {
-            // Prefer the larger neighbour: overestimating a record's cost
-            // only schedules it earlier, which is the safe direction.
-            for n in [b.checked_add(d).filter(|&n| n <= 32), b.checked_sub(d)].into_iter().flatten()
-            {
-                if let Some(mean) = self.sums[n].checked_div(self.counts[n]) {
-                    return mean;
-                }
-            }
-        }
-        static_len as u64
-    }
-
-    /// Folds another profile in.
-    pub fn merge(&mut self, other: &CostProfile) {
-        for b in 0..33 {
-            self.counts[b] += other.counts[b];
-            self.sums[b] += other.sums[b];
-        }
-    }
-
-    /// Serializes the profile: one `bucket count sum` line per non-empty
-    /// bucket, preceded by a format tag.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut out = String::from("javaflow-cost-profile v1\n");
-        for b in 0..33 {
-            if self.counts[b] > 0 {
-                let _ = writeln!(out, "{b} {} {}", self.counts[b], self.sums[b]);
-            }
-        }
-        out
-    }
-
-    /// Parses [`CostProfile::to_text`] output. Returns `None` on any
-    /// malformed line — a corrupt profile must not silently skew the
-    /// schedule.
-    #[must_use]
-    pub fn from_text(text: &str) -> Option<CostProfile> {
-        let mut lines = text.lines();
-        if lines.next()?.trim() != "javaflow-cost-profile v1" {
-            return None;
-        }
-        let mut p = CostProfile::new();
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let b: usize = parts.next()?.parse().ok()?;
-            let count: u64 = parts.next()?.parse().ok()?;
-            let sum: u64 = parts.next()?.parse().ok()?;
-            if b > 32 || parts.next().is_some() {
-                return None;
-            }
-            p.counts[b] += count;
-            p.sums[b] += sum;
-        }
-        Some(p)
-    }
-
-    /// Loads a persisted profile, or `None` when the file is absent or
-    /// malformed.
-    #[must_use]
-    pub fn load(path: &std::path::Path) -> Option<CostProfile> {
-        CostProfile::from_text(&std::fs::read_to_string(path).ok()?)
-    }
-
-    /// Persists the profile.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying write error.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_text())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,38 +502,6 @@ mod tests {
         assert_eq!(a.max("m"), 5);
         let h = a.histogram("h").unwrap();
         assert_eq!((h.count, h.sum, h.min, h.max), (2, 10, 3, 7));
-    }
-
-    #[test]
-    fn cost_profile_predicts_bucket_means() {
-        let mut p = CostProfile::new();
-        assert!(p.is_empty());
-        // Empty profile: proportional-to-length heuristic.
-        assert_eq!(p.predict(100), 100);
-        p.observe(100, 5000);
-        p.observe(120, 7000);
-        // 100 and 120 share bucket bit_width(100)=7: mean 6000.
-        assert_eq!(p.predict(100), 6000);
-        // A length with no bucket borrows the nearest, preferring larger.
-        assert_eq!(p.predict(3), 6000);
-        p.observe(3, 40);
-        assert_eq!(p.predict(3), 40);
-    }
-
-    #[test]
-    fn cost_profile_round_trips_and_rejects_garbage() {
-        let mut p = CostProfile::new();
-        p.observe(10, 400);
-        p.observe(2000, 1_000_000);
-        p.observe(2000, 2_000_000);
-        let text = p.to_text();
-        assert_eq!(CostProfile::from_text(&text), Some(p.clone()));
-        let mut q = CostProfile::from_text(&text).unwrap();
-        q.merge(&p);
-        assert_eq!(q.predict(2000), p.predict(2000), "merge doubles counts and sums alike");
-        assert_eq!(CostProfile::from_text("nonsense"), None);
-        assert_eq!(CostProfile::from_text("javaflow-cost-profile v1\n99 1 1\n"), None);
-        assert_eq!(CostProfile::from_text("javaflow-cost-profile v1\n1 x 1\n"), None);
     }
 
     #[test]

@@ -545,7 +545,12 @@ fn accept_loop(shared: &Arc<Shared>, mut accept: impl FnMut() -> std::io::Result
                     writer.shutdown();
                     shared2.conns.lock().expect("conns lock").retain(|w| !Arc::ptr_eq(w, &writer));
                 });
-                shared.readers.lock().expect("readers lock").push(handle);
+                let mut readers = shared.readers.lock().expect("readers lock");
+                // Drop the handles of readers that have exited, so the
+                // list holds one handle per live connection rather than
+                // one per connection ever served.
+                readers.retain(|h| !h.is_finished());
+                readers.push(handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(25));
@@ -1016,5 +1021,35 @@ mod tests {
         let mut got = [0u8; 11];
         b.read_exact(&mut got).unwrap();
         assert_eq!(&got, b"len!payload");
+    }
+
+    /// Polls `done` every millisecond for up to five seconds.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn finished_reader_threads_are_reaped() {
+        let server = Server::start(ServerConfig::default()).expect("start");
+        let shared = Arc::clone(&server.shared);
+        let conns = || shared.conns.lock().unwrap().len();
+        for _ in 0..20 {
+            let stream = TcpStream::connect(server.addr()).expect("connect");
+            wait_until("the connection is accepted", || conns() == 1);
+            drop(stream);
+            wait_until("the reader exits", || {
+                conns() == 0 && shared.readers.lock().unwrap().iter().all(JoinHandle::is_finished)
+            });
+        }
+        let _last = TcpStream::connect(server.addr()).expect("connect");
+        wait_until("the last connection is accepted", || conns() == 1);
+        let readers = shared.readers.lock().unwrap().len();
+        assert!(readers <= 1, "{readers} reader handles kept for one live connection");
+        server.request_shutdown();
+        server.join().expect("join");
     }
 }
