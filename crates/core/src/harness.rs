@@ -103,8 +103,8 @@ pub struct Sample {
 /// The complete evaluation data set.
 #[derive(Debug)]
 pub struct Evaluation {
-    /// The population, shared with the [`PreparedPopulation`] a resident
-    /// sweep came from rather than deep-copied per sweep.
+    /// The population, shared with the [`PreparedPopulation`] the sweep
+    /// came from rather than deep-copied per sweep.
     pub records: Arc<[MethodRecord]>,
     /// The machine configurations, index-aligned with sample/config ids.
     pub configs: Vec<FabricConfig>,
@@ -137,8 +137,8 @@ pub struct ConfigRow {
 impl Evaluation {
     /// Assembles an evaluation from per-record sweep results (statics plus
     /// that record's samples, in record order), building the O(1) sample
-    /// index. Every sweep ([`Evaluation::run`] and the resident-process
-    /// path, `core::service`) finishes through here.
+    /// index. Every sweep finishes through here
+    /// ([`PreparedPopulation::evaluate_batched`]).
     #[must_use]
     pub fn assemble(
         records: impl Into<Arc<[MethodRecord]>>,
