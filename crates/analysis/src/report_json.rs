@@ -8,7 +8,7 @@
 //! serialized in-process.
 //!
 //! The crate is std-only, so this is a tiny hand-rolled emitter, not a
-//! serde stand-in: integers via `Display`, floats via [`push_f64`]
+//! serde stand-in: integers via [`push_u64`], floats via [`push_f64`]
 //! (shortest round-trip, `null` for non-finite — `NaN` is legitimate in
 //! scripted float kernels but not in JSON), strings via [`json_escape`].
 //! Reports are appended to the caller's buffer with no string per
@@ -55,6 +55,32 @@ impl std::fmt::Write for Escaped<'_> {
     }
 }
 
+/// Appends `v` in decimal, the digits `Display` would write, pushed
+/// directly rather than through the `fmt` machinery: a streamed batch
+/// holds thousands of reports of a dozen integers each.
+pub fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+}
+
+/// Appends each `(key, value)` pair as the key text followed by the
+/// value's digits.
+fn push_u64_fields<const N: usize>(out: &mut String, fields: [(&str, u64); N]) {
+    for (key, v) in fields {
+        out.push_str(key);
+        push_u64(out, v);
+    }
+}
+
 /// Appends one `f64` as a JSON value: shortest round-trip representation
 /// for finite values, `null` for NaN/infinity (JSON has no spelling for
 /// them, and a bare `NaN` poisons every downstream parser).
@@ -79,32 +105,46 @@ pub fn push_outcome(out: &mut String, o: &Outcome) {
 }
 
 fn push_ring(out: &mut String, r: &RingReport) {
-    let _ = write!(
+    push_u64_fields(
         out,
-        "{{\"requests\": {}, \"wait_ticks\": {}, \"max_queue\": {}}}",
-        r.requests, r.wait_ticks, r.max_queue
+        [
+            ("{\"requests\": ", r.requests),
+            (", \"wait_ticks\": ", r.wait_ticks),
+            (", \"max_queue\": ", r.max_queue),
+        ],
     );
+    out.push('}');
 }
 
 /// Appends one [`NetReport`] (link-level contended-run statistics,
 /// Table 29) as a JSON object.
 pub fn push_net_report(out: &mut String, n: &NetReport) {
-    let _ = write!(
+    push_u64_fields(
         out,
-        "{{\"mesh_flits\": {}, \"mesh_hops\": {}, \"stall_ticks\": {}, \"max_queue_depth\": {}, \"mean_queue_depth\": ",
-        n.mesh_flits, n.mesh_hops, n.stall_ticks, n.max_queue_depth,
+        [
+            ("{\"mesh_flits\": ", n.mesh_flits),
+            (", \"mesh_hops\": ", n.mesh_hops),
+            (", \"stall_ticks\": ", n.stall_ticks),
+            (", \"max_queue_depth\": ", n.max_queue_depth),
+        ],
     );
+    out.push_str(", \"mean_queue_depth\": ");
     push_f64(out, n.mean_queue_depth);
     out.push_str(", \"hotspots\": [");
     for (i, h) in n.hotspots.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(
+        push_u64_fields(
             out,
-            "{{\"x\": {}, \"y\": {}, \"flits\": {}, \"stall_ticks\": {}}}",
-            h.x, h.y, h.flits, h.stall_ticks
+            [
+                ("{\"x\": ", u64::from(h.x)),
+                (", \"y\": ", u64::from(h.y)),
+                (", \"flits\": ", h.flits),
+                (", \"stall_ticks\": ", h.stall_ticks),
+            ],
         );
+        out.push('}');
     }
     out.push_str("], \"memory_ring\": ");
     push_ring(out, &n.memory_ring);
@@ -118,11 +158,16 @@ pub fn push_net_report(out: &mut String, n: &NetReport) {
 pub fn push_exec_report(out: &mut String, r: &ExecReport) {
     out.push_str("{\"outcome\": ");
     push_outcome(out, &r.outcome);
-    let _ = write!(
+    push_u64_fields(
         out,
-        ", \"mesh_cycles\": {}, \"executed\": {}, \"relay_fires\": {}, \"static_covered\": {}, \"coverage\": ",
-        r.mesh_cycles, r.executed, r.relay_fires, r.static_covered,
+        [
+            (", \"mesh_cycles\": ", r.mesh_cycles),
+            (", \"executed\": ", r.executed),
+            (", \"relay_fires\": ", r.relay_fires),
+            (", \"static_covered\": ", r.static_covered as u64),
+        ],
     );
+    out.push_str(", \"coverage\": ");
     push_f64(out, r.coverage);
     out.push_str(", \"ipc\": ");
     push_f64(out, r.ipc);
@@ -130,20 +175,22 @@ pub fn push_exec_report(out: &mut String, r: &ExecReport) {
     push_f64(out, r.frac_cycles_ge2);
     out.push_str(", \"frac_cycles_ge1\": ");
     push_f64(out, r.frac_cycles_ge1);
-    let _ = write!(
+    push_u64_fields(
         out,
-        ", \"serial_msgs\": {}, \"mesh_msgs\": {}, \"events\": {}, \"events_skipped\": {}, \"class_fires\": [{}, {}, {}, {}], \"wheel_high_water\": {}, \"wheel_pushes\": {}, \"net\": ",
-        r.serial_msgs,
-        r.mesh_msgs,
-        r.events,
-        r.events_skipped,
-        r.class_fires[0],
-        r.class_fires[1],
-        r.class_fires[2],
-        r.class_fires[3],
-        r.wheel_high_water,
-        r.wheel_pushes,
+        [
+            (", \"serial_msgs\": ", r.serial_msgs),
+            (", \"mesh_msgs\": ", r.mesh_msgs),
+            (", \"events\": ", r.events),
+            (", \"events_skipped\": ", r.events_skipped),
+            (", \"class_fires\": [", r.class_fires[0]),
+            (", ", r.class_fires[1]),
+            (", ", r.class_fires[2]),
+            (", ", r.class_fires[3]),
+            ("], \"wheel_high_water\": ", r.wheel_high_water),
+            (", \"wheel_pushes\": ", r.wheel_pushes),
+        ],
     );
+    out.push_str(", \"net\": ");
     match r.net.as_deref() {
         Some(n) => push_net_report(out, n),
         None => out.push_str("null"),
@@ -173,6 +220,13 @@ mod tests {
         assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(json_escape("line\nfeed\ttab\rret"), "line\\nfeed\\ttab\\rret");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
+    fn integers_render_as_display_does() {
+        for v in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX / 10, u64::MAX] {
+            assert_eq!(rendered(|out, v: &u64| push_u64(out, *v), &v), v.to_string());
+        }
     }
 
     #[test]

@@ -141,9 +141,10 @@ fn bench_eval(synthetic: usize, threads: usize) {
 }
 
 /// Times the event kernel itself: a serial sweep (wall time, scheduler
-/// events processed, nanoseconds per event, heap allocations) and a
-/// parallel sweep, checks both produce identical reports, and records the
-/// numbers with the host's core count in `BENCH_kernel.json`. A speedup
+/// events in the reports, the share of them BP-2 runs inherited from
+/// their BP-1 twins, nanoseconds per simulated event, heap allocations)
+/// and a parallel sweep, checks both produce identical reports, and
+/// records the numbers with the host's core count in `BENCH_kernel.json`. A speedup
 /// against another commit is measured by running both on one host, not
 /// against a figure recorded here.
 fn bench_kernel(synthetic: usize, threads: usize) {
@@ -164,16 +165,20 @@ fn bench_kernel(synthetic: usize, threads: usize) {
     let identical = format!("{:?}", serial.samples) == format!("{:?}", parallel.samples)
         && format!("{:?}", serial.statics) == format!("{:?}", parallel.statics);
 
+    // A BP-2 sample's report counts the events it took over from its
+    // BP-1 twin; the kernel simulated only the rest.
     let events: u64 = serial.samples.iter().map(|s| s.report.events).sum();
-    let events_per_sec = events as f64 / serial_secs.max(1e-9);
-    let ns_per_event = serial_secs * 1e9 / events.max(1) as f64;
+    let events_inherited: u64 = serial.samples.iter().map(|s| s.events_inherited).sum();
+    let simulated = events - events_inherited;
+    let events_per_sec = simulated as f64 / serial_secs.max(1e-9);
+    let ns_per_event = serial_secs * 1e9 / simulated.max(1) as f64;
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let samples = serial.samples.len().max(1);
     let allocs_per_sample = serial_allocs as f64 / samples as f64;
 
     let metrics = serial.metrics().to_json();
     let json = format!(
-        "{{\n  \"benchmark\": \"tables --bench-kernel --synthetic {synthetic}\",\n  \"records\": {},\n  \"samples\": {},\n  \"threads\": {threads},\n  \"threads_used\": {},\n  \"serial_secs\": {serial_secs:.3},\n  \"parallel_secs\": {parallel_secs:.3},\n  \"parallel_speedup\": {:.2},\n  \"events\": {events},\n  \"events_per_sec\": {events_per_sec:.0},\n  \"ns_per_event\": {ns_per_event:.2},\n  \"nproc\": {nproc},\n  \"serial_allocs\": {serial_allocs},\n  \"serial_alloc_bytes\": {serial_alloc_bytes},\n  \"allocs_per_sample\": {allocs_per_sample:.1},\n  \"identical_output\": {identical},\n  \"utilization\": {},\n  \"metrics\": {metrics}\n}}\n",
+        "{{\n  \"benchmark\": \"tables --bench-kernel --synthetic {synthetic}\",\n  \"records\": {},\n  \"samples\": {},\n  \"threads\": {threads},\n  \"threads_used\": {},\n  \"serial_secs\": {serial_secs:.3},\n  \"parallel_secs\": {parallel_secs:.3},\n  \"parallel_speedup\": {:.2},\n  \"events\": {events},\n  \"events_inherited\": {events_inherited},\n  \"events_per_sec\": {events_per_sec:.0},\n  \"ns_per_event\": {ns_per_event:.2},\n  \"nproc\": {nproc},\n  \"serial_allocs\": {serial_allocs},\n  \"serial_alloc_bytes\": {serial_alloc_bytes},\n  \"allocs_per_sample\": {allocs_per_sample:.1},\n  \"identical_output\": {identical},\n  \"utilization\": {},\n  \"metrics\": {metrics}\n}}\n",
         serial.records.len(),
         serial.samples.len(),
         parallel.sweep.threads_used,

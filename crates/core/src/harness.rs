@@ -14,8 +14,8 @@ use std::sync::Arc;
 use javaflow_analysis::{pearson, Summary};
 use javaflow_bytecode::{verify, Cfg};
 use javaflow_fabric::{
-    place, resolve, BranchMode, ExecParams, ExecReport, FabricConfig, LoadedMethod,
-    MetricsRegistry, NetKind, Outcome, ResolveStats, SimArena,
+    execute_pair_in, place, resolve, BranchMode, ExecReport, FabricConfig, MetricsRegistry,
+    NetKind, Outcome, ResolveStats, SimArena,
 };
 use javaflow_workloads::SuiteKind;
 
@@ -98,6 +98,11 @@ pub struct Sample {
     /// Whether the run returned (timeouts/deadlocks are filtered from the
     /// aggregate statistics, as in the dissertation).
     pub ok: bool,
+    /// Events of `report` taken over from the record's BP-1 run instead
+    /// of simulated: the prefix a BP-2 run shares with its BP-1 twin (see
+    /// [`execute_pair_in`]). 0 for BP-1 samples. Not part of the wire
+    /// format.
+    pub events_inherited: u64,
 }
 
 /// The complete evaluation data set.
@@ -165,11 +170,11 @@ impl Evaluation {
     ///
     /// Records are swept on [`EvalConfig::threads`] workers that claim
     /// one record at a time from a shared cursor over a schedule in
-    /// descending static length (ties by index), each worker drawing a
-    /// warm [`SimArena`] from the process-wide
-    /// [`ArenaPool`](javaflow_fabric::ArenaPool). The results are spliced
-    /// back in record order, so the output is bit-identical to a serial
-    /// run at any thread count.
+    /// descending static length (ties by index), each worker drawing two
+    /// warm [`SimArena`]s (one per BP-1/BP-2 pair member) from the
+    /// process-wide [`ArenaPool`](javaflow_fabric::ArenaPool). The
+    /// results are spliced back in record order, so the output is
+    /// bit-identical to a serial run at any thread count.
     #[must_use]
     pub fn run(cfg: &EvalConfig) -> Evaluation {
         PreparedPopulation::prepare(cfg.synthetic_count, cfg.threads).evaluate(cfg)
@@ -303,6 +308,7 @@ impl Evaluation {
         let mut reg = MetricsRegistry::new();
         for s in &self.samples {
             reg.observe_report(&s.report, self.configs[s.config].class_ticks());
+            reg.add("events_inherited", s.events_inherited);
         }
         reg
     }
@@ -439,30 +445,62 @@ pub(crate) fn cost_schedule(records: &[MethodRecord]) -> Vec<u32> {
     schedule
 }
 
+/// The configuration-independent statics of one record: verification,
+/// the control-flow graph's jump statistics and the resolution
+/// statistics. [`PreparedPopulation`] computes them on a record's first
+/// sweep and keeps them for every later one.
+#[derive(Debug, Clone)]
+pub(crate) struct RecordStatics {
+    max_stack: u16,
+    resolve: ResolveStats,
+    fwd_jumps: (usize, f64, u32),
+    back_jumps: (usize, f64, u32),
+}
+
+impl RecordStatics {
+    /// Verifies `rec`, builds its control-flow graph and takes the
+    /// resolution statistics from `prepared` (resolving afresh for
+    /// fabric-inexecutable methods, which have none).
+    pub(crate) fn compute(
+        rec: &MethodRecord,
+        prepared: Option<&javaflow_fabric::PreparedMethod<'_>>,
+    ) -> RecordStatics {
+        let v = verify(&rec.method).expect("population verifies");
+        let g = Cfg::build(&rec.method);
+        let resolve = match prepared {
+            Some(p) => p.resolved.stats.clone(),
+            // Fabric-inexecutable methods (jsr/switches) never run, but
+            // still contribute resolution statistics to the static tables.
+            None => resolve(&rec.method).expect("population resolves").stats,
+        };
+        RecordStatics {
+            max_stack: v.max_stack,
+            resolve,
+            fwd_jumps: g.forward_jump_stats(),
+            back_jumps: g.back_jump_stats(),
+        }
+    }
+}
+
 /// The complete (pure) per-record work unit: statics plus the scripted
 /// runs over every configuration and both branch scripts.
 ///
 /// `prepared` holds the record's configuration-independent parts, built
-/// once by [`PreparedPopulation`], so each configuration only adds a
-/// placement; the caller's arena is reused across every run. `prepared`
-/// is `None` for fabric-inexecutable methods (jsr/switches).
+/// once by [`PreparedPopulation`], and `statics` its configuration-
+/// independent statics, so each configuration only adds a placement.
+/// `prepared` is `None` for fabric-inexecutable methods (jsr/switches).
+/// Each configuration runs one BP-1/BP-2 pair
+/// ([`execute_pair_in`](javaflow_fabric::execute_pair_in)) on the
+/// caller's two arenas, which are reused across every run.
 pub(crate) fn eval_prepared(
     ri: usize,
     rec: &MethodRecord,
     prepared: Option<&javaflow_fabric::PreparedMethod<'_>>,
+    statics: &RecordStatics,
     configs: &[FabricConfig],
     max_mesh_cycles: u64,
-    arena: &mut SimArena,
+    arenas: &mut [SimArena; 2],
 ) -> (MethodStatics, Vec<Sample>) {
-    let v = verify(&rec.method).expect("population verifies");
-    let g = Cfg::build(&rec.method);
-    let resolve_stats = match &prepared {
-        Some(p) => p.resolved.stats.clone(),
-        // Fabric-inexecutable methods (jsr/switches) never run, but still
-        // contribute resolution statistics to the static tables.
-        None => resolve(&rec.method).expect("population resolves").stats,
-    };
-
     let mut span_ratio = Vec::with_capacity(configs.len());
     let mut loadable = Vec::with_capacity(configs.len());
     let mut placements = Vec::with_capacity(configs.len());
@@ -480,45 +518,33 @@ pub(crate) fn eval_prepared(
             }
         }
     }
-    let statics = MethodStatics {
+    let method_statics = MethodStatics {
         static_len: rec.method.len(),
         max_locals: rec.method.max_locals,
-        max_stack: v.max_stack,
-        resolve: resolve_stats,
-        fwd_jumps: g.forward_jump_stats(),
-        back_jumps: g.back_jump_stats(),
+        max_stack: statics.max_stack,
+        resolve: statics.resolve.clone(),
+        fwd_jumps: statics.fwd_jumps,
+        back_jumps: statics.back_jumps,
         span_ratio,
         loadable,
     };
 
-    let mut samples = Vec::new();
+    let mut samples = Vec::with_capacity(if prepared.is_some() { 2 * configs.len() } else { 0 });
     if let Some(prepared) = prepared {
+        let [arena, twin] = arenas;
         for (ci, fc) in configs.iter().enumerate() {
             let Some(placement) = placements[ci].take() else { continue };
             let loaded = prepared.with_placement(placement);
-            for bp in [BranchMode::Bp1, BranchMode::Bp2] {
-                let report = run_scripted(&loaded, fc, bp, max_mesh_cycles, arena);
+            let pair = execute_pair_in(&loaded, fc, max_mesh_cycles, arena, twin);
+            for (bp, report, events_inherited) in
+                [(BranchMode::Bp1, pair.bp1, 0), (BranchMode::Bp2, pair.bp2, pair.bp2_inherited)]
+            {
                 let ok = matches!(report.outcome, Outcome::Returned(_));
-                samples.push(Sample { record: ri, config: ci, bp, report, ok });
+                samples.push(Sample { record: ri, config: ci, bp, report, ok, events_inherited });
             }
         }
     }
-    (statics, samples)
-}
-
-fn run_scripted(
-    loaded: &LoadedMethod<'_>,
-    fc: &FabricConfig,
-    bp: BranchMode,
-    max_mesh_cycles: u64,
-    arena: &mut SimArena,
-) -> ExecReport {
-    javaflow_fabric::execute_in(
-        loaded,
-        fc,
-        ExecParams { mode: bp, max_mesh_cycles, ..ExecParams::default() },
-        arena,
-    )
+    (method_statics, samples)
 }
 
 #[cfg(test)]

@@ -17,13 +17,13 @@
 //! them — the seam `javaflow-serve` uses to stream progress and honour
 //! per-request deadlines without tearing down a half-finished batch.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use javaflow_fabric::{
     prepare, ArenaPool, DataflowGraph, DecodedMethod, FabricConfig, PreparedMethod, Resolved,
 };
 
-use crate::harness::{cost_schedule, eval_prepared};
+use crate::harness::{cost_schedule, eval_prepared, RecordStatics};
 use crate::parallel::{par_map, sweep_ordered, SweepStats, WorkerStats};
 use crate::{population, EvalConfig, Evaluation, MethodRecord, MethodStatics, Sample};
 
@@ -46,6 +46,11 @@ pub struct PreparedPopulation {
     pub synthetic_count: usize,
     records: Arc<[MethodRecord]>,
     preps: Vec<Option<PreparedParts>>,
+    /// Each record's configuration-independent statics, computed on its
+    /// first sweep and kept, so no later sweep repeats verification or
+    /// the CFG build. Not computed in `prepare`, whose time is a
+    /// population's set-up cost.
+    statics: Vec<OnceLock<RecordStatics>>,
 }
 
 impl PreparedPopulation {
@@ -61,7 +66,8 @@ impl PreparedPopulation {
                 decoded: p.decoded,
             })
         });
-        PreparedPopulation { synthetic_count, records: records.into(), preps }
+        let statics = records.iter().map(|_| OnceLock::new()).collect();
+        PreparedPopulation { synthetic_count, records: records.into(), preps, statics }
     }
 
     /// The cached population, index-aligned with sample record ids.
@@ -126,11 +132,18 @@ impl PreparedPopulation {
             slice,
             cfg.threads,
             &schedule,
-            || pool.checkout(),
-            |arena| pool.checkin(arena),
-            |arena, ri, rec| {
-                let prepared = self.prepared_method(lo + ri);
-                eval_prepared(lo + ri, rec, prepared.as_ref(), &configs, cfg.max_mesh_cycles, arena)
+            || [pool.checkout(), pool.checkout()],
+            |[arena, twin]| {
+                pool.checkin(arena);
+                pool.checkin(twin);
+            },
+            |arenas, ri, rec| {
+                let ri = lo + ri;
+                let prepared = self.prepared_method(ri);
+                let statics =
+                    self.statics[ri].get_or_init(|| RecordStatics::compute(rec, prepared.as_ref()));
+                let (configs, max) = (&configs, cfg.max_mesh_cycles);
+                eval_prepared(ri, rec, prepared.as_ref(), statics, configs, max, arenas)
             },
         );
         (swept.results, swept.stats)

@@ -63,6 +63,17 @@ impl BranchOracle {
         self.back.clear();
     }
 
+    /// Makes `self` the BP-2 twin of `bp1`, a BP-1 oracle that has not
+    /// decided a forward jump yet. The two scripts differ only in where
+    /// each forward site's alternation starts, so up to that point their
+    /// state is the same: the back-jump counts.
+    pub fn fork_bp2(&mut self, bp1: &BranchOracle) {
+        debug_assert!(bp1.mode == BranchMode::Bp1 && bp1.fwd.is_empty());
+        self.mode = BranchMode::Bp2;
+        self.fwd.clear();
+        self.back.clone_from(&bp1.back);
+    }
+
     /// Decides a conditional jump at `site`. In data mode the caller's
     /// evaluated `data_decision` wins; in scripted modes the script does.
     pub fn decide(&mut self, site: u32, is_back: bool, data_decision: bool) -> bool {
@@ -137,6 +148,21 @@ mod tests {
         o.reset(BranchMode::Bp2);
         assert!(!o.decide(3, false, false), "reset restarts the BP2 alternation");
         assert!(o.decide(3, false, false));
+    }
+
+    #[test]
+    fn bp2_fork_continues_like_a_fresh_bp2() {
+        let mut bp1 = BranchOracle::new(BranchMode::Bp1);
+        let mut bp2 = BranchOracle::new(BranchMode::Bp2);
+        for _ in 0..3 {
+            assert_eq!(bp1.decide(7, true, false), bp2.decide(7, true, false));
+        }
+        let mut twin = BranchOracle::new(BranchMode::Data);
+        twin.fork_bp2(&bp1);
+        assert_eq!(twin.mode(), BranchMode::Bp2);
+        for (site, back) in [(2, false), (7, true), (2, false), (9, false), (7, true)] {
+            assert_eq!(twin.decide(site, back, false), bp2.decide(site, back, false));
+        }
     }
 
     #[test]

@@ -74,9 +74,9 @@ pub use resolve::{
     control_sources, resolve, resolve_call_count, ResolveError, ResolveStats, Resolved, Sink,
 };
 pub use sim::{
-    execute, execute_in, execute_with_sink, load, load_with_resolved, prepare, ArenaPool,
-    DecodedInsn, DecodedMethod, ExecParams, ExecReport, Gpp, LoadError, LoadedMethod, Outcome,
-    PreparedMethod, SimArena,
+    execute, execute_in, execute_pair_in, execute_with_sink, load, load_with_resolved, prepare,
+    ArenaPool, DecodedInsn, DecodedMethod, ExecParams, ExecReport, Gpp, LoadError, LoadedMethod,
+    Outcome, PreparedMethod, ScriptedPair, SimArena,
 };
 pub use timing::Timing;
 pub use token::{Command, InstanceId, SerialDest, SerialMessage, Token};

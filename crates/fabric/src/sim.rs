@@ -40,7 +40,11 @@
 //!   hop; only tokens a node may act on take the full firing rule. The
 //!   walk still schedules every hop: skipping hops would change where
 //!   later pushes land in a same-tick bucket's FIFO order, and with it
-//!   the reports.
+//!   the reports;
+//! * the sweep runs both branch scripts of a method as one pair
+//!   ([`execute_pair_in`]): BP-2 repeats BP-1 up to BP-1's first forward
+//!   conditional decision, so that prefix is simulated once and BP-2
+//!   resumes from a copy of the run state taken there.
 
 use std::sync::Arc;
 
@@ -654,6 +658,39 @@ impl SimArena {
         self.queue.clear();
     }
 
+    /// Makes `self` a copy of a BP-1 run's arena `src`, taken at its first
+    /// forward conditional decision, for the BP-2 twin to resume from:
+    /// the node slabs, the timing wheel and the oracle (as BP-2). The
+    /// batch is the caller's to fill; `scratch` holds tokens only inside
+    /// `maybe_reinject`, which fires no node. Reuses `self`'s capacity,
+    /// so a warm twin copies without allocating.
+    fn copy_from(&mut self, src: &SimArena) {
+        let n = src.flags.len();
+        self.queue.copy_from(&src.queue);
+        self.flags.clone_from(&src.flags);
+        self.missing.clone_from(&src.missing);
+        self.reg_captured.clone_from(&src.reg_captured);
+        self.mem_token.clone_from(&src.mem_token);
+        self.mem_forward.clone_from(&src.mem_forward);
+        self.watch.clone_from(&src.watch);
+        self.redirect.clone_from(&src.redirect);
+        self.next_delay.clone_from(&src.next_delay);
+        self.pending_back.clone_from(&src.pending_back);
+        self.operand_vals.clone_from(&src.operand_vals);
+        self.operand_set.clone_from(&src.operand_set);
+        self.output_vals.clone_from(&src.output_vals);
+        self.output_len.clone_from(&src.output_len);
+        // As in `reset_for`, never truncate `buffers`.
+        if self.buffers.len() < n {
+            self.buffers.resize_with(n, Vec::new);
+        }
+        for (b, s) in self.buffers.iter_mut().zip(&src.buffers[..n]) {
+            b.clone_from(s);
+        }
+        self.covered.clone_from(&src.covered);
+        self.oracle.fork_bp2(&src.oracle);
+    }
+
     /// Clears one node back to `stateReady` (loop-body reset).
     fn reset_node(&mut self, a: usize, d: &DecodedInsn) {
         self.flags[a] = 0;
@@ -705,13 +742,13 @@ impl ArenaPool {
         ArenaPool::default()
     }
 
-    /// The default retention high-water mark: twice the machine's
-    /// available parallelism (a sweep checks in one arena per worker;
-    /// headroom for one sweep draining while the next one starts), never
-    /// below 4.
+    /// The default retention high-water mark: four times the machine's
+    /// available parallelism (a sweep checks in two arenas per worker, a
+    /// BP-1/BP-2 pair's; headroom for one sweep draining while the next
+    /// one starts), never below 4.
     #[must_use]
     pub fn default_retain_cap() -> usize {
-        std::thread::available_parallelism().map_or(4, |n| (n.get() * 2).max(4))
+        std::thread::available_parallelism().map_or(4, |n| (n.get() * 4).max(4))
     }
 
     /// The process-wide pool the evaluation harness draws from: arenas
@@ -823,6 +860,56 @@ pub fn execute_with_sink<S: TraceSink>(
     }
 }
 
+/// The reports of one scripted BP-1/BP-2 pair ([`execute_pair_in`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScriptedPair {
+    /// The BP-1 run.
+    pub bp1: ExecReport,
+    /// The BP-2 run.
+    pub bp2: ExecReport,
+    /// Events of `bp2` it shares with `bp1` and took over instead of
+    /// simulating: BP-1's events up to its first forward conditional
+    /// decision, or all of them when it never made one.
+    pub bp2_inherited: u64,
+}
+
+/// Runs a loaded method under both Chapter 7 branch scripts, simulating
+/// the events the two share only once.
+///
+/// The scripts differ only at forward conditional jumps, and only in
+/// where each site's alternation starts (BP-1 taken, BP-2 not taken). So
+/// BP-2 repeats BP-1 event for event up to BP-1's first forward
+/// conditional decision. There the whole run state (node slabs, timing
+/// wheel, the rest of the bucket being drained, oracle, counters and
+/// interconnect model) is copied into `twin`, BP-2 finishes from the copy
+/// with its own decision, and BP-1 carries on in `arena`. A method that
+/// never decides a forward jump gives BP-1's report for both.
+///
+/// Each report equals the one [`execute_in`] returns for that script
+/// (scripted, stub GPP, no arguments, `max_mesh_cycles` budget).
+///
+/// # Panics
+///
+/// Panics if `config` fails [`FabricConfig::validate`].
+pub fn execute_pair_in(
+    lm: &LoadedMethod<'_>,
+    config: &FabricConfig,
+    max_mesh_cycles: u64,
+    arena: &mut SimArena,
+    twin: &mut SimArena,
+) -> ScriptedPair {
+    config.validate().expect("invalid FabricConfig");
+    let params = ExecParams { mode: BranchMode::Bp1, max_mesh_cycles, ..ExecParams::default() };
+    let sink = &mut NoopSink;
+    match config.net {
+        NetKind::Ideal => Sim::new(lm, config, params, arena, IdealNet, sink).run_pair(twin),
+        NetKind::Contended => {
+            let net = ContendedNet::new(config);
+            Sim::new(lm, config, params, arena, net, sink).run_pair(twin)
+        }
+    }
+}
+
 struct Sim<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> {
     lm: &'a LoadedMethod<'m>,
     dm: &'a DecodedMethod,
@@ -850,9 +937,17 @@ struct Sim<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> {
     outcome: Option<Outcome>,
     net: N,
     tracer: &'a mut S,
+    /// The timing-wheel bucket being drained (taken from the arena for
+    /// the run) and the index of the next event in it.
+    batch: Vec<Ev>,
+    batch_pos: usize,
+    /// The BP-2 twin's arena while a BP-1 pair run has not forked yet.
+    twin: Option<&'a mut SimArena>,
+    /// The BP-2 report, once the twin has run.
+    twin_report: Option<(ExecReport, u64)>,
 }
 
-impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
+impl<'a, 'm, 'g, 'p, N: NetModel + Clone, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
     fn new(
         lm: &'a LoadedMethod<'m>,
         cfg: &'a FabricConfig,
@@ -865,6 +960,8 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
         let dm: &'a DecodedMethod = &lm.decoded;
         arena.reset_for(lm, cfg.serial_hop_ticks());
         arena.oracle.reset(params.mode);
+        let mut batch = std::mem::take(&mut arena.batch);
+        batch.clear();
         let max_ticks = params.max_mesh_cycles.saturating_mul(cfg.mesh_cycle_ticks());
         let class_ticks = cfg.class_ticks();
         Sim {
@@ -892,6 +989,10 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
             outcome: None,
             net,
             tracer,
+            batch,
+            batch_pos: 0,
+            twin: None,
+            twin_report: None,
         }
     }
 
@@ -972,27 +1073,35 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
         }
     }
 
-    fn run(mut self) -> ExecReport {
+    fn run(&mut self) -> ExecReport {
         self.inject_bundle();
-        // Drain the wheel one bucket at a time: all events of a bucket
-        // share one tick, so the budget check and `now` update hoist out
-        // of the per-event dispatch. Same-tick pushes made *while* the
-        // batch is processed land in the (now empty) bucket and are
-        // picked up by the next `pop_tick` of the same tick, preserving
-        // the FIFO total order the naive pop loop had.
-        let mut batch = std::mem::take(&mut self.arena.batch);
-        'sim: while self.outcome.is_none() {
-            batch.clear();
-            let Some(at) = self.arena.queue.pop_tick(&mut batch) else {
-                self.outcome = Some(Outcome::Deadlock);
-                break;
-            };
-            if at > self.max_ticks {
-                self.outcome = Some(Outcome::Timeout);
-                break;
-            }
-            self.now = at;
-            for &ev in &batch {
+        self.drive();
+        self.finish()
+    }
+
+    /// [`Self::run`] as BP-1 with `twin` armed: returns both reports of
+    /// the pair.
+    fn run_pair(mut self, twin: &'a mut SimArena) -> ScriptedPair {
+        self.twin = Some(twin);
+        let bp1 = self.run();
+        let (bp2, bp2_inherited) = match self.twin_report.take() {
+            Some(forked) => forked,
+            None => (bp1.clone(), bp1.events),
+        };
+        ScriptedPair { bp1, bp2, bp2_inherited }
+    }
+
+    /// Processes the rest of the current batch, then drains the wheel one
+    /// bucket at a time until an outcome settles. All events of a bucket
+    /// share one tick, so the budget check and `now` update hoist out of
+    /// the per-event dispatch. Same-tick pushes made *while* the batch is
+    /// processed land in the (now empty) bucket and are picked up by the
+    /// next `pop_tick` of the same tick, preserving the FIFO total order
+    /// the naive pop loop had.
+    fn drive(&mut self) {
+        loop {
+            while let Some(&ev) = self.batch.get(self.batch_pos) {
+                self.batch_pos += 1;
                 self.events += 1;
                 match ev.kind {
                     EvKind::Head => self.on_head(ev),
@@ -1006,11 +1115,78 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
                 if self.outcome.is_some() {
                     // Mirror the naive loop: the event *after* the one
                     // that settled the outcome is never processed.
-                    break 'sim;
+                    return;
                 }
             }
+            self.batch.clear();
+            self.batch_pos = 0;
+            let Some(at) = self.arena.queue.pop_tick(&mut self.batch) else {
+                self.outcome = Some(Outcome::Deadlock);
+                return;
+            };
+            if at > self.max_ticks {
+                self.outcome = Some(Outcome::Timeout);
+                return;
+            }
+            self.now = at;
         }
-        self.arena.batch = batch;
+    }
+
+    /// Called by an armed BP-1 pair run at its first forward conditional
+    /// decision, from inside [`Self::try_fire`] of node `i` just before
+    /// the oracle decides: copies the run into the twin arena and runs
+    /// BP-2 from there to its report. `data` and `exec_ticks` are what
+    /// the interrupted `try_fire` would pass on.
+    fn fork_bp2(&mut self, twin: &mut SimArena, i: u32, data: bool, exec_ticks: u64) {
+        twin.copy_from(self.arena);
+        let mut batch = std::mem::take(&mut twin.batch);
+        batch.clear();
+        batch.extend_from_slice(&self.batch[self.batch_pos..]);
+        let mut bp2 = Sim {
+            lm: self.lm,
+            dm: self.dm,
+            cfg: self.cfg,
+            gpp: Gpp::Stub,
+            args: Vec::new(),
+            lenient: self.lenient,
+            n: self.n,
+            arena: twin,
+            class_ticks: self.class_ticks,
+            now: self.now,
+            max_ticks: self.max_ticks,
+            events: self.events,
+            executed: self.executed,
+            relay_fires: self.relay_fires,
+            serial_msgs: self.serial_msgs,
+            mesh_msgs: self.mesh_msgs,
+            class_fires: self.class_fires,
+            busy: self.busy,
+            last_busy_change: self.last_busy_change,
+            acc_ge1: self.acc_ge1,
+            acc_ge2: self.acc_ge2,
+            outcome: self.outcome.clone(),
+            net: self.net.clone(),
+            tracer: &mut NoopSink,
+            batch,
+            batch_pos: 0,
+            twin: None,
+            twin_report: None,
+        };
+        // Finish the interrupted `try_fire` with BP-2's decision; nothing
+        // else was left to do for the event that fired it.
+        if bp2.arena.oracle.decide(i, false, data) {
+            bp2.arena.flags[i as usize] |= F_DECISION;
+        }
+        bp2.arena.queue.push(bp2.now + exec_ticks, Ev::at_node(EvKind::ExecDone, i));
+        if bp2.outcome.is_none() {
+            bp2.drive();
+        }
+        self.twin_report = Some((bp2.finish(), self.events));
+    }
+
+    /// Builds the run's report and hands the batch back to the arena.
+    fn finish(&mut self) -> ExecReport {
+        self.arena.batch = std::mem::take(&mut self.batch);
         let end = self.now.max(1);
         let mesh_cycles = end.div_ceil(self.mesh_ticks());
         let static_covered = self.arena.covered.iter().filter(|c| **c).count();
@@ -1344,6 +1520,11 @@ impl<'a, 'm, 'g, 'p, N: NetModel, S: TraceSink> Sim<'a, 'm, 'g, 'p, N, S> {
                             false
                         }
                     };
+                    if !d.is_back {
+                        if let Some(twin) = self.twin.take() {
+                            self.fork_bp2(twin, i, data, exec_ticks);
+                        }
+                    }
                     self.arena.oracle.decide(i, d.is_back, data)
                 };
                 if taken {

@@ -156,6 +156,37 @@ impl<T: Copy> TimingWheel<T> {
         self.pushes = 0;
     }
 
+    /// Makes `self` an exact copy of `src`: every pending event in its
+    /// bucket and order, the cursor, the drain position and the
+    /// counters. Reuses `self`'s bucket capacity, so copying into a warm
+    /// wheel does not allocate.
+    pub fn copy_from(&mut self, src: &TimingWheel<T>) {
+        self.clear();
+        for w in 0..4 {
+            let mut bits = src.l0_occ[w];
+            while bits != 0 {
+                let s = (w << 6) + bits.trailing_zeros() as usize;
+                self.l0[s].extend_from_slice(&src.l0[s]);
+                bits &= bits - 1;
+            }
+        }
+        let mut bits = src.l1_occ;
+        while bits != 0 {
+            let s = bits.trailing_zeros() as usize;
+            self.l1[s].extend_from_slice(&src.l1[s]);
+            bits &= bits - 1;
+        }
+        self.overflow.extend_from_slice(&src.overflow);
+        self.l0_occ = src.l0_occ;
+        self.l1_occ = src.l1_occ;
+        self.overflow_min = src.overflow_min;
+        self.cursor = src.cursor;
+        self.l0_pos = src.l0_pos;
+        self.len = src.len;
+        self.high_water = src.high_water;
+        self.pushes = src.pushes;
+    }
+
     /// Schedules `item` at tick `at`. Pushes must be monotone: `at` must
     /// not precede the tick of the last pop.
     pub fn push(&mut self, at: u64, item: T) {
@@ -444,6 +475,26 @@ mod tests {
         out.clear();
         assert_eq!(w.pop_tick(&mut out), Some(far));
         assert_eq!(out, ['o', 'l'], "overflow pushes precede level-1 pushes");
+    }
+
+    #[test]
+    fn copy_continues_like_the_original() {
+        let mut w = TimingWheel::new();
+        for (i, t) in [4u64, 4, 4, 300, 90_000, 17].into_iter().enumerate() {
+            w.push(t, i);
+        }
+        assert_eq!(w.pop(), Some((4, 0)));
+        // Copy mid-bucket, into a wheel holding stale events elsewhere.
+        let mut c = TimingWheel::new();
+        c.push(200, 99);
+        c.copy_from(&w);
+        assert_eq!((c.len(), c.pushes(), c.high_water()), (w.len(), w.pushes(), w.high_water()));
+        for t in [4, 500] {
+            w.push(t, 7);
+            c.push(t, 7);
+        }
+        let drain = |w: &mut TimingWheel<usize>| std::iter::from_fn(|| w.pop()).collect::<Vec<_>>();
+        assert_eq!(drain(&mut c), drain(&mut w));
     }
 
     #[test]

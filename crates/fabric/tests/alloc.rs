@@ -20,7 +20,8 @@ use std::cell::Cell;
 
 use javaflow_bytecode::asm::assemble;
 use javaflow_fabric::{
-    execute_in, load, ArenaPool, BranchMode, ExecParams, FabricConfig, NetKind, Outcome, SimArena,
+    execute_in, execute_pair_in, load, ArenaPool, BranchMode, ExecParams, FabricConfig, NetKind,
+    Outcome, SimArena,
 };
 
 struct CountingAlloc;
@@ -173,6 +174,62 @@ fn warm_scripted_run_does_not_allocate() {
     let after = allocs();
     assert_eq!(after - before, 0, "warm pool checkout/run/checkin cycles must not allocate");
     assert_eq!(pool.warm_len(), 1, "every checkout must come back to the pool");
+}
+
+/// A counting loop with a forward conditional in its body, so a
+/// BP-1/BP-2 pair forks on the first iteration.
+const BRANCHY_LOOP: &str = ".method branchy args=1 returns=true locals=3
+   iconst_0
+   istore 1
+ top:
+   iload 0
+   iconst_2
+   irem
+   ifeq @even
+   iinc 1 1
+ even:
+   iinc 0 -1
+   iload 0
+   ifgt @top
+   iload 1
+   ireturn
+ .end";
+
+#[test]
+fn warm_scripted_pair_does_not_allocate() {
+    let p = assemble(BRANCHY_LOOP).unwrap();
+    let (_, m) = p.method_by_name("branchy").unwrap();
+    for net in [NetKind::Ideal, NetKind::Contended] {
+        let config = FabricConfig::compact2().with_net(net);
+        let loaded = load(m, &config).unwrap();
+        let (mut arena, mut twin) = (SimArena::new(), SimArena::new());
+        let mut run = || execute_pair_in(&loaded, &config, 1_000_000, &mut arena, &mut twin);
+
+        // Warm-up: sizes both arenas for this method. The pair must fork.
+        let warm = run();
+        assert!(matches!(warm.bp1.outcome, Outcome::Returned(_)), "{:?}", warm.bp1.outcome);
+        assert!(matches!(warm.bp2.outcome, Outcome::Returned(_)), "{:?}", warm.bp2.outcome);
+        assert!(0 < warm.bp2_inherited && warm.bp2_inherited < warm.bp1.events);
+
+        let mut per_pair = [0u64; 3];
+        for slot in &mut per_pair {
+            let before = allocs();
+            let pair = run();
+            *slot = allocs() - before;
+            assert!(pair.bp1.events == warm.bp1.events && pair.bp2.events == warm.bp2.events);
+            assert!(pair.bp2_inherited == warm.bp2_inherited);
+        }
+        match net {
+            // Ideal: the fork copies into the warm twin's capacity.
+            NetKind::Ideal => assert_eq!(per_pair, [0; 3], "warm ideal pairs must not allocate"),
+            // Contended: each run's net model and report, plus the copy of
+            // the model at the fork — the same count every pair.
+            NetKind::Contended => {
+                assert!(per_pair[0] == per_pair[1] && per_pair[1] == per_pair[2]);
+                assert!(per_pair[0] <= 16, "contended pair allocated {} times", per_pair[0]);
+            }
+        }
+    }
 }
 
 #[test]

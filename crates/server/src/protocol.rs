@@ -13,12 +13,11 @@
 //! `load_gen` exercises exactly that equivalence via
 //! [`expected_batch_payloads`].
 
-use std::fmt::Write as _;
 use std::io::{IoSlice, Read, Write};
 
-use javaflow_analysis::report_json::{json_escape, push_exec_report, push_json_escaped};
+use javaflow_analysis::report_json::{json_escape, push_exec_report, push_json_escaped, push_u64};
 use javaflow_core::{EvalConfig, Evaluation, MethodRecord, MethodStatics, Sample};
-use javaflow_fabric::NetKind;
+use javaflow_fabric::{BranchMode, NetKind};
 
 use crate::json::Json;
 
@@ -311,18 +310,27 @@ pub fn batch_records_json<'a>(
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "{{\"record\": {ri}, \"name\": \"");
+        out.push_str("{\"record\": ");
+        push_u64(&mut out, ri as u64);
+        out.push_str(", \"name\": \"");
         push_json_escaped(&mut out, name);
         out.push_str("\", \"samples\": [");
         for (k, s) in samples.iter().enumerate() {
             if k > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(
-                out,
-                "{{\"config\": {}, \"bp\": \"{:?}\", \"ok\": {}, \"report\": ",
-                s.config, s.bp, s.ok,
-            );
+            out.push_str("{\"config\": ");
+            push_u64(&mut out, s.config as u64);
+            // The script's `Debug` name, and the bool as `Display` has it.
+            out.push_str(", \"bp\": \"");
+            out.push_str(match s.bp {
+                BranchMode::Data => "Data",
+                BranchMode::Bp1 => "Bp1",
+                BranchMode::Bp2 => "Bp2",
+            });
+            out.push_str("\", \"ok\": ");
+            out.push_str(if s.ok { "true" } else { "false" });
+            out.push_str(", \"report\": ");
             push_exec_report(&mut out, &s.report);
             out.push('}');
         }
