@@ -196,3 +196,162 @@ fn flight_dump_is_valid_chrome_trace_json() {
     server.request_shutdown();
     server.join().expect("join");
 }
+
+/// Every object key path of a JSON document, in document order
+/// (`server.latency.p50_us`); array elements add `[]` to the path.
+fn json_key_paths(json: &str) -> Vec<String> {
+    struct Walk<'a> {
+        b: &'a [u8],
+        i: usize,
+        paths: Vec<String>,
+    }
+    impl Walk<'_> {
+        fn ws(&mut self) {
+            while self.b[self.i].is_ascii_whitespace() {
+                self.i += 1;
+            }
+        }
+        fn string(&mut self) -> String {
+            self.i += 1;
+            let start = self.i;
+            while self.b[self.i] != b'"' {
+                self.i += if self.b[self.i] == b'\\' { 2 } else { 1 };
+            }
+            self.i += 1;
+            String::from_utf8_lossy(&self.b[start..self.i - 1]).into_owned()
+        }
+        fn value(&mut self, path: &str) {
+            self.ws();
+            match self.b[self.i] {
+                open @ (b'{' | b'[') => {
+                    let close = if open == b'{' { b'}' } else { b']' };
+                    self.i += 1;
+                    loop {
+                        self.ws();
+                        if self.b[self.i] == close {
+                            self.i += 1;
+                            return;
+                        }
+                        if open == b'{' {
+                            let key = self.string();
+                            let p = if path.is_empty() { key } else { format!("{path}.{key}") };
+                            self.paths.push(p.clone());
+                            self.ws();
+                            assert_eq!(self.b[self.i], b':', "malformed JSON at byte {}", self.i);
+                            self.i += 1;
+                            self.value(&p);
+                        } else {
+                            self.value(&format!("{path}[]"));
+                        }
+                        self.ws();
+                        if self.b[self.i] == b',' {
+                            self.i += 1;
+                        }
+                    }
+                }
+                b'"' => {
+                    self.string();
+                }
+                _ => {
+                    while !matches!(self.b[self.i], b',' | b'}' | b']') {
+                        self.i += 1;
+                    }
+                }
+            }
+        }
+    }
+    let mut w = Walk { b: json.as_bytes(), i: 0, paths: Vec::new() };
+    w.value("");
+    w.paths
+}
+
+/// The shape of a Prometheus page: every comment line (`# HELP`,
+/// `# TYPE`) verbatim and every series as name plus labels, value
+/// dropped. Finite histogram buckets are dropped too — which `le`
+/// bounds appear depends on measured durations — but `le="+Inf"` stays.
+fn prometheus_inventory(page: &str) -> Vec<String> {
+    page.lines()
+        .filter_map(|l| {
+            if l.starts_with('#') {
+                return Some(l.to_string());
+            }
+            let series = l.rsplit_once(' ').map_or(l, |(s, _)| s);
+            let finite_bucket = series.contains("_bucket{le=\"") && !series.ends_with("\"+Inf\"}");
+            (!finite_bucket).then(|| series.to_string())
+        })
+        .collect()
+}
+
+/// Fails with both inventories written out in full when they differ.
+fn assert_inventory(what: &str, got: &[String], want: &str) {
+    let want: Vec<&str> = want.lines().collect();
+    if got.iter().map(String::as_str).ne(want.iter().copied()) {
+        let first = got.iter().zip(&want).position(|(g, w)| g != w);
+        panic!(
+            "{what} inventory changed (first difference at line {first:?}; {} lines, want {}):\n{}",
+            got.len(),
+            want.len(),
+            got.join("\n")
+        );
+    }
+}
+
+/// Pins the exposition's shape: after a fixed request history — one
+/// sweep, the same key twice more (the second sweep is admitted to the
+/// result cache, the third request hits it) and one malformed frame —
+/// the `/metrics` page's ordered `# TYPE`/`# HELP` lines and series
+/// (name and labels) and the metrics frame's ordered JSON key paths
+/// match the goldens. Values are not compared. The page must also pass
+/// `tools/check_prometheus.sh`.
+#[test]
+fn exposition_inventory_is_pinned() {
+    let server = observed_server();
+    for id in 1..=3 {
+        run_sweep(&server, id, 2);
+    }
+    let mut conn = connect(&server);
+    send(&mut conn, "not json at all");
+    assert!(recv(&mut conn).contains("\"code\": 400"));
+
+    let (status, page) = http_get(&server, "/metrics");
+    assert_eq!(status, 200);
+    assert!(page.contains("javaflow_result_cache_hits_total 1"), "{page}");
+    assert!(page.contains("javaflow_server_bad_requests_total 1"), "{page}");
+    assert_inventory(
+        "/metrics",
+        &prometheus_inventory(&page),
+        include_str!("goldens/metrics_page.txt"),
+    );
+
+    let check = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tools/check_prometheus.sh");
+    let mut child = std::process::Command::new("bash")
+        .arg(check)
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn bash");
+    child.stdin.take().expect("stdin").write_all(page.as_bytes()).expect("pipe page");
+    let out = child.wait_with_output().expect("check_prometheus");
+    assert!(
+        out.status.success(),
+        "check_prometheus.sh rejected the page:\n{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    send(&mut conn, "{\"kind\": \"metrics\", \"id\": 9}");
+    let frame = recv(&mut conn);
+    let (_, varz) = http_get(&server, "/varz");
+    for body in [&frame, &varz] {
+        Json::parse(body).expect("metrics frame is json");
+        assert_inventory(
+            "metrics frame",
+            &json_key_paths(body),
+            include_str!("goldens/metrics_frame_keys.txt"),
+        );
+    }
+
+    server.request_shutdown();
+    server.join().expect("join");
+}
