@@ -20,7 +20,6 @@
 //!   executed sweeps or simulated events.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -155,31 +154,5 @@ impl<K: PartialEq> ResultCache<K> {
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// The `"result_cache"` block of the metrics frame.
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        format!(
-            "{{\"hits\": {}, \"misses\": {}, \"entries\": {}, \"samples\": {}}}",
-            self.hits,
-            self.misses,
-            self.entries.len(),
-            self.samples,
-        )
-    }
-
-    /// Appends the cache's counters and gauges to a Prometheus page.
-    pub fn render_prometheus(&self, out: &mut String) {
-        let rows: [(&str, &str, u64); 4] = [
-            ("hits_total", "counter", self.hits),
-            ("misses_total", "counter", self.misses),
-            ("entries", "gauge", self.entries.len() as u64),
-            ("samples", "gauge", self.samples as u64),
-        ];
-        for (name, kind, v) in rows {
-            let _ = writeln!(out, "# TYPE javaflow_result_cache_{name} {kind}");
-            let _ = writeln!(out, "javaflow_result_cache_{name} {v}");
-        }
     }
 }

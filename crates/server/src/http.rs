@@ -3,11 +3,10 @@
 //! Serves exactly three read-only endpoints on
 //! [`ServerConfig::metrics_addr`](crate::ServerConfig::metrics_addr):
 //!
-//! * `GET /metrics` — Prometheus text exposition: the server counters
-//!   and gauges, every latency/phase histogram with cumulative `le`
-//!   buckets, the per-[`SweepKey`](crate::server) sweep counters, the
-//!   result-cache counters and gauges, the flight-recorder gauges, and
-//!   the simulator's Table 30 registry under the `javaflow_sim_` prefix.
+//! * `GET /metrics` — Prometheus text exposition of the metrics store
+//!   ([`ServerMetrics::render_prometheus`](crate::metrics::ServerMetrics::render_prometheus)):
+//!   server counters, gauges and histograms, per-key sweep counters,
+//!   result-cache and flight-recorder rows, and the Table 30 registry.
 //! * `GET /healthz` — `200 ok` while accepting, `503 draining` once a
 //!   drain has begun.
 //! * `GET /varz` — the framed `metrics` response body as JSON, for
@@ -18,7 +17,6 @@
 //! connection. A scraper, a load balancer check, and `curl` are the
 //! entire intended client population.
 
-use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -65,7 +63,8 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
     let path = path.split('?').next().unwrap_or(path);
     match path {
         "/metrics" => {
-            let page = render_metrics(shared);
+            let gauges = shared.gauges();
+            let page = shared.metrics.lock().expect("metrics lock").render_prometheus(&gauges);
             respond(&mut stream, 200, "text/plain; version=0.0.4; charset=utf-8", &page);
         }
         "/healthz" => {
@@ -123,43 +122,4 @@ fn respond(stream: &mut TcpStream, code: u16, content_type: &str, body: &str) {
     let _ = stream.write_all(head.as_bytes());
     let _ = stream.write_all(body.as_bytes());
     let _ = stream.flush();
-}
-
-/// Renders the whole Prometheus page: server half, per-key sweep
-/// counters, result cache, flight-recorder gauges, then the simulation
-/// registry.
-pub(crate) fn render_metrics(shared: &Arc<Shared>) -> String {
-    let mut out = String::with_capacity(8192);
-    let queue_depth = shared.queue_depth();
-    let in_flight = shared.in_flight.load(Ordering::SeqCst);
-    let draining = shared.shutdown.load(Ordering::SeqCst);
-    shared.metrics.lock().expect("metrics lock").render_prometheus(
-        &mut out,
-        queue_depth,
-        in_flight,
-        draining,
-    );
-    {
-        let by_key = shared.sweeps_by_key.lock().expect("sweeps_by_key lock");
-        if !by_key.is_empty() {
-            out.push_str("# TYPE javaflow_server_sweeps_by_key_total counter\n");
-            for (key, n) in by_key.iter() {
-                let _ = writeln!(
-                    out,
-                    "javaflow_server_sweeps_by_key_total{{{}}} {n}",
-                    key.prom_labels()
-                );
-            }
-        }
-    }
-    shared.results.lock().expect("results lock").render_prometheus(&mut out);
-    {
-        let flight = shared.flight.lock().expect("flight lock");
-        out.push_str("# TYPE javaflow_server_flight_entries gauge\n");
-        let _ = writeln!(out, "javaflow_server_flight_entries {}", flight.len());
-        out.push_str("# TYPE javaflow_server_flight_dropped_total counter\n");
-        let _ = writeln!(out, "javaflow_server_flight_dropped_total {}", flight.dropped());
-    }
-    shared.registry.lock().expect("registry lock").render_prometheus(&mut out, "javaflow_sim_");
-    out
 }

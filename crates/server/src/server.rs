@@ -19,7 +19,7 @@
 //! HTTP sidecar listener ([`ServerConfig::metrics_addr`]) exposes
 //! `/metrics` (Prometheus text), `/healthz`, and `/varz`.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -29,13 +29,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use javaflow_analysis::report_json::json_escape;
 use javaflow_core::{EvalConfig, Evaluation, PreparedPopulation};
-use javaflow_fabric::{MetricsRegistry, NetKind};
+use javaflow_fabric::NetKind;
 
 use crate::cache::{ResultCache, MAX_ENTRIES, MAX_SAMPLES};
 use crate::flight::FlightRecorder;
-use crate::metrics::ServerMetrics;
+use crate::metrics::{Gauges, ServerMetrics};
 use crate::protocol::{
     batch_frame_head, batch_payload, done_frame, error_frame, for_each_batch_payload,
     parse_request, read_frame_timed, write_frame_parts, FrameError, Request, SweepRequest,
@@ -85,7 +84,7 @@ pub struct ServerConfig {
     pub flight_dump_on_error: Option<PathBuf>,
     /// Master switch for span accounting, the flight recorder, and log
     /// lines. On by default; `--bench-serve` turns it off to measure the
-    /// untraced floor the 2% overhead guard compares against.
+    /// untraced floor of the span-overhead guard (CI bounds it at 10%).
     pub observability: bool,
 }
 
@@ -258,16 +257,12 @@ pub(crate) struct Shared {
     /// up until then so late requests get an explicit `503`, not a
     /// connection refusal.
     pub(crate) drained: AtomicBool,
-    pub(crate) in_flight: AtomicUsize,
+    in_flight: AtomicUsize,
+    /// The one metrics store: counters, histograms, the simulation
+    /// registry and the per-key sweep counts.
     pub(crate) metrics: Mutex<ServerMetrics>,
-    /// Simulation metrics folded in from every completed sweep (the
-    /// Table 30 registry the metrics endpoint renders).
-    pub(crate) registry: Mutex<MetricsRegistry>,
-    /// Sweeps executed per [`SweepKey`], for the labelled `/metrics`
-    /// counter.
-    pub(crate) sweeps_by_key: Mutex<BTreeMap<SweepKey, u64>>,
     /// The always-on flight recorder ring.
-    pub(crate) flight: Mutex<FlightRecorder>,
+    flight: Mutex<FlightRecorder>,
     /// Monotonic zero for every span timestamp in this process.
     pub(crate) epoch: Instant,
     /// µs-since-epoch of the last failure-triggered flight dump, for the
@@ -276,7 +271,7 @@ pub(crate) struct Shared {
     /// Prepared populations keyed by synthetic size.
     prepared: Mutex<HashMap<usize, Arc<PreparedPopulation>>>,
     /// Finished sweeps kept for repeat keys.
-    pub(crate) results: Mutex<ResultCache<SweepKey>>,
+    results: Mutex<ResultCache<SweepKey>>,
     /// Live connections, shut down at the end of a drain to unblock
     /// parked reader threads. Readers deregister themselves on exit.
     conns: Mutex<Vec<Arc<ConnWriter>>>,
@@ -295,9 +290,25 @@ impl Shared {
         crate::span::as_micros_u64(self.epoch.elapsed())
     }
 
-    /// Current admission-queue depth.
-    pub(crate) fn queue_depth(&self) -> usize {
-        self.queue.lock().expect("queue lock").len()
+    /// Reads the gauges the metrics pages show from their owners, one
+    /// lock at a time; the caller takes the metrics lock afterwards.
+    pub(crate) fn gauges(&self) -> Gauges {
+        let queue_depth = self.queue.lock().expect("queue lock").len() as u64;
+        let cache = {
+            let r = self.results.lock().expect("results lock");
+            [r.hits(), r.misses(), r.len() as u64, r.samples() as u64]
+        };
+        let flight = {
+            let f = self.flight.lock().expect("flight lock");
+            [f.len() as u64, f.dropped()]
+        };
+        Gauges {
+            queue_depth,
+            in_flight: self.in_flight.load(Ordering::SeqCst) as u64,
+            draining: self.shutdown.load(Ordering::SeqCst),
+            cache,
+            flight,
+        }
     }
 
     /// A request reached its terminal point: fold the span into the
@@ -336,17 +347,8 @@ impl Shared {
 /// Renders the framed `metrics` response body — also served verbatim at
 /// `/varz` by the HTTP sidecar.
 pub(crate) fn metrics_frame_json(shared: &Shared, id: u64) -> String {
-    let queue_depth = shared.queue_depth();
-    let in_flight = shared.in_flight.load(Ordering::SeqCst);
-    let server = shared.metrics.lock().expect("metrics lock").render_json(queue_depth, in_flight);
-    let results = shared.results.lock().expect("results lock").render_json();
-    let reg = shared.registry.lock().expect("registry lock");
-    format!(
-        "{{\"type\": \"metrics\", \"id\": {id}, \"server\": {server}, \
-         \"result_cache\": {results}, \"table30\": \"{}\", \"metrics\": {}}}",
-        json_escape(&reg.render()),
-        reg.to_json(),
-    )
+    let gauges = shared.gauges();
+    shared.metrics.lock().expect("metrics lock").render_json(&gauges, id)
 }
 
 /// A running `javaflow-serve` instance.
@@ -420,8 +422,6 @@ impl Server {
             drained: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
             metrics: Mutex::new(ServerMetrics::default()),
-            registry: Mutex::new(MetricsRegistry::new()),
-            sweeps_by_key: Mutex::new(BTreeMap::new()),
             flight: Mutex::new(FlightRecorder::new(flight_capacity)),
             epoch: Instant::now(),
             last_error_dump_us: AtomicU64::new(0),
@@ -927,8 +927,8 @@ fn sweep(
     // Fold the sweep's simulation metrics in (and count it against its
     // key) before the done frames go out, so a client that saw `done`
     // also sees this sweep on the metrics page.
-    shared.registry.lock().expect("registry lock").merge(&eval.metrics());
-    *shared.sweeps_by_key.lock().expect("sweeps_by_key lock").entry(key.clone()).or_insert(0) += 1;
+    let sim = eval.metrics();
+    shared.metrics.lock().expect("metrics lock").observe_sweep(key, &sim);
     let eval = Arc::new(eval);
     let took = started.elapsed().saturating_sub(gave_way);
     shared.results.lock().expect("results lock").offer_timed(key.clone(), &eval, took);
