@@ -1,7 +1,7 @@
 //! Shared JSON assembly for execution reports.
 //!
-//! The bench artifacts (`BENCH_evaluation.json`, `BENCH_kernel.json`,
-//! `BENCH_serve.json`) and the `javaflow-serve` wire protocol both
+//! The bench artifacts (`BENCH_kernel.json`, `BENCH_serve.json`) and
+//! the `javaflow-serve` wire protocol both
 //! serialize [`ExecReport`]s. Hand-rolling the strings in two places let
 //! the formats drift; every producer now calls through here, so a
 //! response streamed by the server is byte-identical to the same report

@@ -9,14 +9,10 @@
 //!                         # cores; JAVAFLOW_THREADS overrides the default)
 //! tables --net contended  # simulate interconnect contention instead of
 //!                         # the closed-form (ideal) delays
-//! tables --bench-eval     # time serial vs parallel sweeps and write
-//!                         # BENCH_evaluation.json
 //! tables --bench-net      # compare ideal vs contended sweeps and write
 //!                         # BENCH_net.json
 //! tables --bench-kernel   # time the timing-wheel event kernel (events/s,
 //!                         # allocation counts) and write BENCH_kernel.json
-//! tables --bench-rings    # sweep the contended net's ring-slot × FIFO
-//!                         # parameters and write BENCH_rings.json
 //! tables --bench-serve    # hammer an in-process javaflow-serve at several
 //!                         # concurrency levels and write BENCH_serve.json
 //!                         # with throughput and p50/p95/p99 latency
@@ -83,61 +79,6 @@ fn run_eval(synthetic: usize, threads: usize, net: NetKind) -> Evaluation {
         eval.records.len() as f64 / secs.max(1e-9),
     );
     eval
-}
-
-/// Times the pre-optimization sweep (serial, re-resolve per config, fresh
-/// simulator allocations), the optimized sweep serially, and the optimized
-/// sweep in parallel; checks all three produce the same reports; records
-/// the comparison in `BENCH_evaluation.json`.
-fn bench_eval(synthetic: usize, threads: usize) {
-    eprintln!("timing the pre-optimization (seed-equivalent) sweep …");
-    let max_mesh_cycles = EvalConfig::default().max_mesh_cycles;
-    let t0 = Instant::now();
-    let seed_reports = javaflow_bench::seed_equivalent_sweep(synthetic, max_mesh_cycles);
-    let seed_secs = t0.elapsed().as_secs_f64();
-    eprintln!("seed-equivalent sweep: {seed_secs:.2}s");
-
-    let t1 = Instant::now();
-    let serial = run_eval(synthetic, 1, NetKind::Ideal);
-    let serial_secs = t1.elapsed().as_secs_f64();
-
-    let t2 = Instant::now();
-    let parallel = run_eval(synthetic, threads, NetKind::Ideal);
-    let parallel_secs = t2.elapsed().as_secs_f64();
-
-    // Debug-string comparison: NaN-valued returns (legitimate in scripted
-    // float kernels) are bitwise-identical but `!=` under IEEE 754.
-    let identical = format!("{:?}", serial.samples) == format!("{:?}", parallel.samples)
-        && format!("{:?}", serial.statics) == format!("{:?}", parallel.statics)
-        && seed_reports.len() == serial.samples.len()
-        && seed_reports
-            .iter()
-            .zip(&serial.samples)
-            .all(|(r, s)| format!("{r:?}") == format!("{:?}", s.report));
-    let speedup_vs_seed = seed_secs / parallel_secs.max(1e-9);
-    let parallel_speedup = serial_secs / parallel_secs.max(1e-9);
-
-    // Table rendering exercises the O(1) sample index (the old linear
-    // lookup made Tables 21–28 quadratic in the population).
-    let t3 = Instant::now();
-    let mut rendered = 0usize;
-    for t in 9..=28 {
-        rendered += chapter7_tables(&parallel, t).len();
-    }
-    let tables_secs = t3.elapsed().as_secs_f64();
-    eprintln!("rendered tables 9–28 ({rendered} bytes) in {tables_secs:.2}s");
-
-    let metrics = serial.metrics().to_json();
-    let json = format!(
-        "{{\n  \"benchmark\": \"tables --synthetic {synthetic}\",\n  \"records\": {},\n  \"samples\": {},\n  \"threads\": {threads},\n  \"threads_used\": {},\n  \"seed_equivalent_secs\": {seed_secs:.3},\n  \"serial_secs\": {serial_secs:.3},\n  \"parallel_secs\": {parallel_secs:.3},\n  \"tables_9_28_secs\": {tables_secs:.3},\n  \"speedup_vs_seed\": {speedup_vs_seed:.2},\n  \"parallel_speedup\": {parallel_speedup:.2},\n  \"identical_output\": {identical},\n  \"utilization\": {},\n  \"metrics\": {metrics}\n}}\n",
-        serial.records.len(),
-        serial.samples.len(),
-        parallel.sweep.threads_used,
-        parallel.sweep.utilization_json(),
-    );
-    std::fs::write("BENCH_evaluation.json", &json).expect("write BENCH_evaluation.json");
-    println!("{json}");
-    assert!(identical, "optimized sweep diverged from the seed-equivalent output");
 }
 
 /// Times the event kernel itself: a serial sweep (wall time, scheduler
@@ -230,75 +171,6 @@ fn bench_net(synthetic: usize, threads: usize) {
     );
     std::fs::write("BENCH_net.json", &json).expect("write BENCH_net.json");
     eprintln!("wrote BENCH_net.json");
-}
-
-/// Sweeps the contended interconnect's service parameters —
-/// `NetParams::ring_slot_cycles` × `NetParams::mesh_fifo_capacity` — over
-/// the same population, recording each combination's aggregate IPC and
-/// queueing behaviour in `BENCH_rings.json`.
-fn bench_rings(synthetic: usize, threads: usize) {
-    const SLOTS: [u64; 3] = [1, 2, 4];
-    const FIFOS: [u32; 3] = [2, 4, 8];
-    let total = SLOTS.len() * FIFOS.len();
-    let mut entries = String::new();
-    let mut step = 0usize;
-    for slot in SLOTS {
-        for fifo in FIFOS {
-            step += 1;
-            eprintln!(
-                "ring sweep {step}/{total}: ring_slot_cycles={slot} mesh_fifo_capacity={fifo}"
-            );
-            let mut configs = javaflow_fabric::FabricConfig::all_six();
-            for c in &mut configs {
-                c.net_params.ring_slot_cycles = slot;
-                c.net_params.mesh_fifo_capacity = fifo;
-            }
-            let t = Instant::now();
-            let eval = Evaluation::run(&EvalConfig {
-                synthetic_count: synthetic,
-                threads,
-                net: NetKind::Contended,
-                configs,
-                ..EvalConfig::default()
-            });
-            let secs = t.elapsed().as_secs_f64();
-
-            let mut ipc_sum = 0.0f64;
-            let mut ok = 0u64;
-            let (mut stall, mut flits, mut hops) = (0u64, 0u64, 0u64);
-            let (mut mem_req, mut mem_wait, mut gpp_req, mut gpp_wait) = (0u64, 0u64, 0u64, 0u64);
-            let mut max_queue = 0u64;
-            for s in &eval.samples {
-                if s.ok {
-                    ipc_sum += s.report.ipc;
-                    ok += 1;
-                }
-                if let Some(n) = &s.report.net {
-                    stall += n.stall_ticks;
-                    flits += n.mesh_flits;
-                    hops += n.mesh_hops;
-                    mem_req += n.memory_ring.requests;
-                    mem_wait += n.memory_ring.wait_ticks;
-                    gpp_req += n.gpp_ring.requests;
-                    gpp_wait += n.gpp_ring.wait_ticks;
-                    max_queue = max_queue.max(n.max_queue_depth);
-                }
-            }
-            let mean_ipc = ipc_sum / ok.max(1) as f64;
-            let stall_per_hop = stall as f64 / hops.max(1) as f64;
-            let mem_wait_per_req = mem_wait as f64 / mem_req.max(1) as f64;
-            let gpp_wait_per_req = gpp_wait as f64 / gpp_req.max(1) as f64;
-            let sep = if step == total { "" } else { "," };
-            entries.push_str(&format!(
-                "    {{\n      \"ring_slot_cycles\": {slot},\n      \"mesh_fifo_capacity\": {fifo},\n      \"mean_ipc\": {mean_ipc:.4},\n      \"ok_samples\": {ok},\n      \"mesh_flits\": {flits},\n      \"mesh_hops\": {hops},\n      \"stall_ticks\": {stall},\n      \"stall_per_hop\": {stall_per_hop:.4},\n      \"max_queue_depth\": {max_queue},\n      \"memory_ring_requests\": {mem_req},\n      \"memory_ring_wait_per_request\": {mem_wait_per_req:.4},\n      \"gpp_ring_requests\": {gpp_req},\n      \"gpp_ring_wait_per_request\": {gpp_wait_per_req:.4},\n      \"sweep_secs\": {secs:.3}\n    }}{sep}\n"
-            ));
-        }
-    }
-    let json = format!(
-        "{{\n  \"benchmark\": \"tables --bench-rings --synthetic {synthetic}\",\n  \"threads\": {threads},\n  \"combinations\": [\n{entries}  ]\n}}\n"
-    );
-    std::fs::write("BENCH_rings.json", &json).expect("write BENCH_rings.json");
-    println!("{json}");
 }
 
 /// Benchmarks `javaflow-serve` end to end: an in-process server is
@@ -498,10 +370,8 @@ fn main() {
     let mut synthetic = 240usize;
     let mut threads = default_threads();
     let mut net = NetKind::Ideal;
-    let mut bench = false;
     let mut bench_net_mode = false;
     let mut bench_kernel_mode = false;
-    let mut bench_rings_mode = false;
     let mut bench_serve_mode = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -563,10 +433,8 @@ fn main() {
                         },
                     );
             }
-            "--bench-eval" => bench = true,
             "--bench-net" => bench_net_mode = true,
             "--bench-kernel" => bench_kernel_mode = true,
-            "--bench-rings" => bench_rings_mode = true,
             "--bench-serve" => bench_serve_mode = true,
             "--figure" => {
                 figure = args.next().and_then(|v| v.parse().ok());
@@ -579,8 +447,7 @@ fn main() {
                 println!(
                     "usage: tables [--table N] [--figure N] [--list-tables] \
                      [--synthetic COUNT] [--threads N] [--net ideal|contended] \
-                     [--bench-eval] [--bench-net] [--bench-kernel] [--bench-rings] \
-                     [--bench-serve] [--trace-out FILE]"
+                     [--bench-net] [--bench-kernel] [--bench-serve] [--trace-out FILE]"
                 );
                 return;
             }
@@ -595,20 +462,12 @@ fn main() {
         trace_capture(&path);
         return;
     }
-    if bench {
-        bench_eval(synthetic, threads);
-        return;
-    }
     if bench_net_mode {
         bench_net(synthetic, threads);
         return;
     }
     if bench_kernel_mode {
         bench_kernel(synthetic, threads);
-        return;
-    }
-    if bench_rings_mode {
-        bench_rings(synthetic, threads);
         return;
     }
     if bench_serve_mode {

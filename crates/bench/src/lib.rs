@@ -15,7 +15,7 @@ pub mod micro;
 
 use javaflow_analysis::{mesh_heatmap, DynamicMix, NetSummary, StaticMix, Utilization};
 use javaflow_core::{EvalConfig, Evaluation};
-use javaflow_fabric::{BranchMode, FabricConfig};
+use javaflow_fabric::FabricConfig;
 use javaflow_interp::Profiler;
 use javaflow_workloads::{full_suite, Benchmark, SuiteKind};
 
@@ -470,50 +470,6 @@ pub fn net_report(rows: &[NetBenchRow], configs: &[FabricConfig]) -> String {
 #[must_use]
 pub fn default_evaluation(synthetic_count: usize) -> Evaluation {
     Evaluation::run(&EvalConfig { synthetic_count, ..EvalConfig::default() })
-}
-
-/// Re-runs the evaluation sweep the way the pre-optimization harness did —
-/// serial, a fresh `load` (with its own `resolve`) per record×config, and
-/// fresh simulator allocations per run — returning the execution reports
-/// in sweep order.
-///
-/// Only used by `tables --bench-eval` as the timing baseline; the reports
-/// double as a cross-check that the cached pipeline changes nothing.
-#[must_use]
-pub fn seed_equivalent_sweep(
-    synthetic_count: usize,
-    max_mesh_cycles: u64,
-) -> Vec<javaflow_fabric::ExecReport> {
-    let records = javaflow_core::population(synthetic_count);
-    let configs = FabricConfig::all_six();
-    let mut reports = Vec::new();
-    for rec in &records {
-        // The statics pass as the old harness ran it: verify, a dedicated
-        // resolve, the CFG, and a placement per configuration.
-        let _ = javaflow_bytecode::verify(&rec.method).expect("population verifies");
-        let _ = javaflow_fabric::resolve(&rec.method).expect("population resolves");
-        let _ = javaflow_bytecode::Cfg::build(&rec.method);
-        for fc in &configs {
-            let _ = javaflow_fabric::place(&rec.method, fc);
-        }
-        for fc in &configs {
-            let Ok(loaded) = javaflow_fabric::load(&rec.method, fc) else {
-                continue;
-            };
-            for bp in [BranchMode::Bp1, BranchMode::Bp2] {
-                reports.push(javaflow_fabric::execute(
-                    &loaded,
-                    fc,
-                    javaflow_fabric::ExecParams {
-                        mode: bp,
-                        max_mesh_cycles,
-                        ..javaflow_fabric::ExecParams::default()
-                    },
-                ));
-            }
-        }
-    }
-    reports
 }
 
 /// The Table 15 configuration list.

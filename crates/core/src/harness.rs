@@ -308,6 +308,7 @@ impl Evaluation {
         let mut reg = MetricsRegistry::new();
         for s in &self.samples {
             reg.observe_report(&s.report, self.configs[s.config].class_ticks());
+            reg.add("events_popped", s.report.events - s.events_inherited);
             reg.add("events_inherited", s.events_inherited);
         }
         reg

@@ -96,3 +96,13 @@ fn filter2_is_subset_of_filter1() {
     assert!(f2.iter().all(|i| f1.contains(i)));
     assert!(f2.len() < f1.len());
 }
+
+#[test]
+fn popped_and_inherited_events_add_up_to_report_events() {
+    let e = tiny();
+    let m = e.metrics();
+    let events: u64 = e.samples.iter().map(|s| s.report.events).sum();
+    let inherited = m.counter("events_inherited");
+    assert!(inherited > 0, "some BP-2 run resumes from its BP-1 twin");
+    assert_eq!(m.counter("events_popped") + inherited, events);
+}

@@ -13,7 +13,7 @@
 
 use javaflow_bytecode::NodeKind;
 
-use crate::{NetKind, NetParams, Timing};
+use crate::{NetKind, Timing};
 
 /// Node layout of the DataFlow fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,9 +64,6 @@ pub struct FabricConfig {
     pub max_nodes: u32,
     /// Interconnect model executing mesh transfers and ring requests.
     pub net: NetKind,
-    /// Parameters of the contended interconnect (ignored when `net` is
-    /// [`NetKind::Ideal`]).
-    pub net_params: NetParams,
 }
 
 /// An invalid [`FabricConfig`] — rejected before it can schedule zero-delay
@@ -80,8 +77,6 @@ pub enum ConfigError {
     /// A `Timing` latency is zero (named field); zero-latency execution or
     /// transit schedules same-tick event cascades.
     ZeroTiming(&'static str),
-    /// A `NetParams` field is zero (named field).
-    ZeroNetParam(&'static str),
     /// The mesh must be at least one node wide.
     ZeroWidth,
     /// The fabric must have at least one node.
@@ -95,7 +90,6 @@ impl std::fmt::Display for ConfigError {
                 write!(fm, "serial_per_mesh must be >= 1 (use None for the collapsed baseline)")
             }
             ConfigError::ZeroTiming(field) => write!(fm, "timing.{field} must be >= 1"),
-            ConfigError::ZeroNetParam(field) => write!(fm, "net_params.{field} must be >= 1"),
             ConfigError::ZeroWidth => write!(fm, "width must be >= 1"),
             ConfigError::ZeroMaxNodes => write!(fm, "max_nodes must be >= 1"),
         }
@@ -117,7 +111,6 @@ impl FabricConfig {
             timing: Timing::default(),
             max_nodes: 10_000,
             net: NetKind::Ideal,
-            net_params: NetParams::default(),
         }
     }
 
@@ -161,15 +154,6 @@ impl FabricConfig {
             if value == 0 {
                 return Err(ConfigError::ZeroTiming(field));
             }
-        }
-        if self.net_params.mesh_fifo_capacity == 0 {
-            return Err(ConfigError::ZeroNetParam("mesh_fifo_capacity"));
-        }
-        if self.net_params.ring_slot_cycles == 0 {
-            return Err(ConfigError::ZeroNetParam("ring_slot_cycles"));
-        }
-        if self.net_params.ring_latency_cycles == 0 {
-            return Err(ConfigError::ZeroNetParam("ring_latency_cycles"));
         }
         Ok(())
     }
@@ -287,9 +271,6 @@ mod tests {
 
     #[test]
     fn zero_net_params_and_shape_rejected() {
-        let mut c = FabricConfig::compact2();
-        c.net_params.mesh_fifo_capacity = 0;
-        assert_eq!(c.validate(), Err(ConfigError::ZeroNetParam("mesh_fifo_capacity")));
         let c = FabricConfig { width: 0, ..FabricConfig::compact2() };
         assert_eq!(c.validate(), Err(ConfigError::ZeroWidth));
         let c = FabricConfig { max_nodes: 0, ..FabricConfig::compact2() };

@@ -66,9 +66,7 @@ pub use config::{ConfigError, FabricConfig, Layout, HETERO_PATTERN};
 pub use enhance::{DataflowGraph, Relay};
 pub use manager::{AnchorId, FabricManager, ManageError};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use net::{
-    ContendedNet, IdealNet, NetKind, NetModel, NetParams, NetReport, NodeNetStat, RingReport,
-};
+pub use net::{ContendedNet, IdealNet, NetKind, NetModel, NetReport, NodeNetStat, RingReport};
 pub use place::{place, slot_kind, snake_coords, PlaceError, Placement, SlotKind};
 pub use resolve::{
     control_sources, resolve, resolve_call_count, ResolveError, ResolveStats, Resolved, Sink,

@@ -234,6 +234,8 @@ impl MetricsRegistry {
     /// is the configuration's per-timing-class execution latency (from
     /// `FabricConfig::class_ticks`), used to histogram the execution
     /// ticks each class consumed.
+    /// The caller counts `events_popped`: a BP-2 report's `events` also
+    /// holds the events it inherited from its BP-1 twin.
     pub fn observe_report(&mut self, r: &ExecReport, class_ticks: [u64; 4]) {
         self.add("runs", 1);
         let outcome = match r.outcome {
@@ -247,7 +249,6 @@ impl MetricsRegistry {
         self.add("relay_fires", r.relay_fires);
         self.add("serial_msgs", r.serial_msgs);
         self.add("mesh_msgs", r.mesh_msgs);
-        self.add("events_popped", r.events);
         self.add("mesh_cycles", r.mesh_cycles);
         self.add("wheel_pushes", r.wheel_pushes);
         self.observe_max("wheel_high_water", r.wheel_high_water);

@@ -58,25 +58,15 @@ pub enum NetKind {
     Contended,
 }
 
-/// Parameters of the contended model (ignored by [`IdealNet`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetParams {
-    /// Router input-FIFO capacity in flits; a full FIFO backpressures the
-    /// upstream hop (credit flow control).
-    pub mesh_fifo_capacity: u32,
-    /// Mesh cycles between ring slots passing a station (one request may
-    /// board per slot).
-    pub ring_slot_cycles: u64,
-    /// Mesh cycles a boarded request spends transiting the ring to its
-    /// subsystem (added on top of the Figure 25 service latency).
-    pub ring_latency_cycles: u64,
-}
-
-impl Default for NetParams {
-    fn default() -> NetParams {
-        NetParams { mesh_fifo_capacity: 4, ring_slot_cycles: 1, ring_latency_cycles: 2 }
-    }
-}
+/// Router input-FIFO capacity of the contended model, in flits; a full
+/// FIFO backpressures the upstream hop (credit flow control).
+const MESH_FIFO_CAPACITY: u64 = 4;
+/// Mesh cycles between ring slots passing a station (one request may
+/// board per slot).
+const RING_SLOT_CYCLES: u64 = 1;
+/// Mesh cycles a boarded request spends transiting the ring to its
+/// subsystem (added on top of the Figure 25 service latency).
+const RING_LATENCY_CYCLES: u64 = 2;
 
 /// Per-ring usage counters of one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -294,8 +284,8 @@ impl ContendedNet {
     #[must_use]
     pub fn new(cfg: &FabricConfig) -> ContendedNet {
         let ticks = cfg.mesh_cycle_ticks();
-        let slot = cfg.net_params.ring_slot_cycles * ticks;
-        let transit = cfg.net_params.ring_latency_cycles * ticks;
+        let slot = RING_SLOT_CYCLES * ticks;
+        let transit = RING_LATENCY_CYCLES * ticks;
         let ring = Ring { slot_ticks: slot, transit_ticks: transit, ..Ring::default() };
         let width = cfg.width.max(1);
         let rows = cfg.max_nodes.div_ceil(width).max(1);
@@ -392,7 +382,7 @@ impl NetModel for ContendedNet {
     ) -> u64 {
         let slot = cfg.mesh_cycle_ticks();
         let hop = cfg.timing.mesh_hop_cycles * slot;
-        let fifo_ticks = u64::from(cfg.net_params.mesh_fifo_capacity) * slot;
+        let fifo_ticks = MESH_FIFO_CAPACITY * slot;
         self.mesh_flits += 1;
         let mut cursor = now;
         if !cfg.collapsed {
@@ -532,7 +522,7 @@ mod tests {
     #[test]
     fn fifo_backpressure_bounds_queue_depth() {
         let cfg = contended_cfg();
-        let cap = u64::from(cfg.net_params.mesh_fifo_capacity);
+        let cap = MESH_FIFO_CAPACITY;
         let mut net = ContendedNet::new(&cfg);
         for _ in 0..64 {
             let _ = net.mesh_delay(&cfg, 0, (0, 0), (1, 0), &mut NoopSink);
@@ -548,13 +538,13 @@ mod tests {
         let cfg = contended_cfg();
         let ticks = cfg.mesh_cycle_ticks();
         let service = cfg.timing.memory_service * ticks;
-        let transit = cfg.net_params.ring_latency_cycles * ticks;
+        let transit = RING_LATENCY_CYCLES * ticks;
         let mut net = ContendedNet::new(&cfg);
         let first = net.memory_delay(&cfg, 0, &mut NoopSink);
         assert_eq!(first, transit + service);
         let second = net.memory_delay(&cfg, 0, &mut NoopSink);
         // One slot of wait before boarding.
-        assert_eq!(second, first + cfg.net_params.ring_slot_cycles * ticks);
+        assert_eq!(second, first + RING_SLOT_CYCLES * ticks);
         let r = net.take_report().unwrap();
         assert_eq!(r.memory_ring.requests, 2);
         assert!(r.memory_ring.wait_ticks > 0);

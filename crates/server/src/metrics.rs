@@ -54,7 +54,7 @@ pub struct ServerMetrics {
     pub phase_us: [Histogram; 6],
     /// Simulation metrics folded in from every completed sweep (the
     /// Table 30 registry).
-    pub sim: MetricsRegistry,
+    pub(crate) sim: MetricsRegistry,
     /// Sweeps executed per [`SweepKey`], in key order.
     pub(crate) sweeps_by_key: BTreeMap<SweepKey, u64>,
 }
@@ -64,22 +64,22 @@ pub struct ServerMetrics {
 /// ring keep their own counts under their own locks, where the sweeper
 /// and finished requests update them; the renderers read this copy.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Gauges {
+pub(crate) struct Gauges {
     /// Admission-queue depth.
-    pub queue_depth: u64,
+    pub(crate) queue_depth: u64,
     /// Requests riding the sweep in progress.
-    pub in_flight: u64,
+    pub(crate) in_flight: u64,
     /// Whether a drain has begun.
-    pub draining: bool,
+    pub(crate) draining: bool,
     /// Result-cache hits, misses, entries and samples, as [`CACHE_ROWS`].
-    pub cache: [u64; 4],
+    pub(crate) cache: [u64; 4],
     /// Flight-ring entries held and entries overwritten since startup.
-    pub flight: [u64; 2],
+    pub(crate) flight: [u64; 2],
 }
 
 /// Result-cache rows: name (the JSON key) and Prometheus type; the
 /// series is `javaflow_result_cache_{name}`, `_total` on counters.
-pub const CACHE_ROWS: [(&str, &str); 4] =
+const CACHE_ROWS: [(&str, &str); 4] =
     [("hits", "counter"), ("misses", "counter"), ("entries", "gauge"), ("samples", "gauge")];
 
 /// Appends one `# TYPE` line and the unlabelled series
@@ -156,7 +156,7 @@ impl ServerMetrics {
     /// `"result_cache"` block, the Table 30 text and the simulation
     /// registry as JSON.
     #[must_use]
-    pub fn render_json(&self, g: &Gauges, id: u64) -> String {
+    pub(crate) fn render_json(&self, g: &Gauges, id: u64) -> String {
         let mut out = String::with_capacity(4096);
         let _ = write!(out, "{{\"type\": \"metrics\", \"id\": {id}, \"server\": {{");
         for (name, v) in self.counters() {
@@ -197,7 +197,7 @@ impl ServerMetrics {
     /// flight-ring rows, then the simulation registry under
     /// `javaflow_sim_`.
     #[must_use]
-    pub fn render_prometheus(&self, g: &Gauges) -> String {
+    pub(crate) fn render_prometheus(&self, g: &Gauges) -> String {
         let mut out = String::with_capacity(8192);
         for (name, v) in self.counters() {
             prom_row(&mut out, "javaflow_server_", name, "counter", v);
