@@ -1,10 +1,9 @@
 //! Shared JSON assembly for execution reports.
 //!
-//! The bench artifacts (`BENCH_kernel.json`, `BENCH_serve.json`) and
-//! the `javaflow-serve` wire protocol both
-//! serialize [`ExecReport`]s. Hand-rolling the strings in two places let
-//! the formats drift; every producer now calls through here, so a
-//! response streamed by the server is byte-identical to the same report
+//! The `javaflow-serve` wire protocol serializes [`ExecReport`]s through
+//! here, and so does every in-process rendering of the same frames
+//! (`load_gen`'s and perfbench's expected payloads), so a response
+//! streamed by the server is byte-identical to the same report
 //! serialized in-process.
 //!
 //! The crate is std-only, so this is a tiny hand-rolled emitter, not a

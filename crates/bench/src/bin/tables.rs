@@ -9,13 +9,11 @@
 //!                         # cores; JAVAFLOW_THREADS overrides the default)
 //! tables --net contended  # simulate interconnect contention instead of
 //!                         # the closed-form (ideal) delays
-//! tables --bench-net      # compare ideal vs contended sweeps and write
-//!                         # BENCH_net.json
 //! tables --bench-kernel   # time the timing-wheel event kernel (events/s,
 //!                         # allocation counts) and write BENCH_kernel.json
-//! tables --bench-serve    # hammer an in-process javaflow-serve at several
-//!                         # concurrency levels and write BENCH_serve.json
-//!                         # with throughput and p50/p95/p99 latency
+//! tables --bench-serve    # span-overhead guard: cached requests to an
+//!                         # in-process javaflow-serve with and without
+//!                         # observability; fails above 10%
 //! tables --trace-out trace.json
 //!                         # record the hotspot kernel under Compact2
 //!                         # (ideal + contended) and Sparse2, cross-check
@@ -131,91 +129,37 @@ fn bench_kernel(synthetic: usize, threads: usize) {
     assert!(identical, "parallel sweep diverged from the serial sweep");
 }
 
-/// Runs the same sweep under the ideal and contended interconnect models,
-/// prints the per-configuration comparison (IPC/cycle deltas, link stats,
-/// hotspot heatmap), and records it in `BENCH_net.json`.
-fn bench_net(synthetic: usize, threads: usize) {
-    let ideal = run_eval(synthetic, threads, NetKind::Ideal);
-    let contended = run_eval(synthetic, threads, NetKind::Contended);
-    let rows = javaflow_bench::net_bench_rows(&ideal, &contended);
-    println!("{}", javaflow_bench::net_report(&rows, &contended.configs));
-
-    let mut entries = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        entries.push_str(&format!(
-            "    {{\n      \"config\": \"{}\",\n      \"ipc_ideal\": {:.4},\n      \"ipc_contended\": {:.4},\n      \"ipc_delta_pct\": {:.2},\n      \"cycles_ideal\": {:.1},\n      \"cycles_contended\": {:.1},\n      \"cycle_delta_pct\": {:.2},\n      \"mesh_flits\": {},\n      \"mesh_hops\": {},\n      \"stall_ticks\": {},\n      \"stall_per_hop\": {:.4},\n      \"max_queue_depth\": {},\n      \"mean_queue_depth\": {:.3},\n      \"memory_ring_requests\": {},\n      \"memory_ring_wait_ticks\": {},\n      \"gpp_ring_requests\": {},\n      \"gpp_ring_wait_ticks\": {}\n    }}{sep}\n",
-            r.name,
-            r.ipc_ideal,
-            r.ipc_contended,
-            r.ipc_delta_pct(),
-            r.cycles_ideal,
-            r.cycles_contended,
-            r.cycle_delta_pct(),
-            r.net.mesh_flits,
-            r.net.mesh_hops,
-            r.net.stall_ticks,
-            r.net.stall_per_hop(),
-            r.net.max_queue_depth,
-            r.net.mean_queue_depth,
-            r.net.memory_ring.0,
-            r.net.memory_ring.1,
-            r.net.gpp_ring.0,
-            r.net.gpp_ring.1,
-        ));
-    }
-    let json = format!(
-        "{{\n  \"benchmark\": \"tables --bench-net --synthetic {synthetic}\",\n  \"records\": {},\n  \"samples_per_model\": {},\n  \"threads\": {threads},\n  \"configs\": [\n{entries}  ]\n}}\n",
-        ideal.records.len(),
-        ideal.samples.len(),
-    );
-    std::fs::write("BENCH_net.json", &json).expect("write BENCH_net.json");
-    eprintln!("wrote BENCH_net.json");
-}
-
-/// Benchmarks `javaflow-serve` end to end: an in-process server is
-/// hammered at several concurrency levels with identical sweep requests
-/// (the coalescing fast path), measuring client-observed end-to-end
-/// latency per request. Records throughput plus exact p50/p95/p99 per
-/// level in `BENCH_serve.json`, and — because request spans and the
-/// flight recorder are always on in production — runs the whole ladder
-/// twice, once with observability disabled, to publish the measured
-/// span overhead against that untraced floor.
+/// The span-overhead guard. Two in-process `javaflow-serve` instances,
+/// identical except that one runs with observability off (the untraced
+/// floor), answer the same sweep key. Two sweeps admit the key to each
+/// server's result cache, so every timed request is a cache hit: the
+/// sweeper's per-request work, spans included, with no simulation to
+/// hide them. A few clients, each on one persistent connection, time
+/// the same number of requests against both servers in short ABBA
+/// rounds, so machine drift cancels out of each round's ratio. Prints
+/// the observed server's median throughput loss against the floor and
+/// fails above `MAX_SPAN_OVERHEAD_PCT`.
 fn bench_serve(synthetic: usize, threads: usize) {
+    use std::net::TcpStream;
+
+    use javaflow_server::json::Json;
     use javaflow_server::protocol::{read_frame, write_frame};
     use javaflow_server::{Server, ServerConfig};
 
-    const LEVELS: [usize; 3] = [1, 8, 32];
-    const REQUESTS_PER_LEVEL: usize = 32;
+    const CLIENTS: usize = 4;
+    const REQUESTS_PER_TURN: usize = 20;
+    // Even, so the floor goes first in half the rounds.
+    const ROUNDS: usize = 40;
+    const MAX_SPAN_OVERHEAD_PCT: f64 = 10.0;
 
     let request =
         format!("{{\"kind\": \"sweep\", \"id\": 1, \"synthetic\": {synthetic}, \"tables\": [22]}}");
-
-    // Two resident servers, identical except for the observability
-    // switch. Every level is measured back-to-back on both so machine
-    // drift (frequency scaling, noisy neighbours) cancels out of the
-    // overhead figure instead of landing entirely on whichever ladder
-    // ran first.
-    let start = |observability: bool| {
-        Server::start(ServerConfig {
-            threads,
-            queue_cap: 64,
-            observability,
-            ..ServerConfig::default()
-        })
-        .expect("start javaflow-serve in-process")
-    };
-    let floor_server = start(false);
-    let obs_server = start(true);
-
-    let run_one = |addr: std::net::SocketAddr, request: &str| -> f64 {
-        let mut conn = std::net::TcpStream::connect(addr).expect("connect");
-        let t = Instant::now();
-        write_frame(&mut conn, request.as_bytes()).expect("send");
+    let request_one = |conn: &mut TcpStream| {
+        write_frame(conn, request.as_bytes()).expect("send");
         loop {
-            let frame = read_frame(&mut conn, usize::MAX).expect("recv").expect("stream");
+            let frame = read_frame(conn, usize::MAX).expect("recv").expect("stream");
             if frame.starts_with(b"{\"type\": \"done\"") {
-                return t.elapsed().as_secs_f64();
+                return;
             }
             assert!(
                 !frame.starts_with(b"{\"type\": \"error\""),
@@ -224,96 +168,79 @@ fn bench_serve(synthetic: usize, threads: usize) {
             );
         }
     };
-    // One level's worth of requests; returns (wall seconds, latencies).
-    let run_level = |addr: std::net::SocketAddr, concurrency: usize| -> (f64, Vec<f64>) {
-        let per_worker = REQUESTS_PER_LEVEL / concurrency;
-        let wall = Instant::now();
-        let latencies: Vec<f64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..concurrency)
+
+    // Index 0 is the untraced floor, index 1 the observed server.
+    let servers = [false, true].map(|observability| {
+        Server::start(ServerConfig { threads, observability, ..ServerConfig::default() })
+            .expect("start javaflow-serve in-process")
+    });
+    let mut conns: Vec<Vec<TcpStream>> = servers
+        .iter()
+        .map(|server| {
+            (0..CLIENTS)
                 .map(|_| {
-                    let request = &request;
-                    scope.spawn(move || {
-                        (0..per_worker).map(|_| run_one(addr, request)).collect::<Vec<f64>>()
-                    })
+                    let conn = TcpStream::connect(server.addr()).expect("connect");
+                    conn.set_nodelay(true).expect("nodelay");
+                    conn
                 })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("bench worker")).collect()
-        });
-        (wall.elapsed().as_secs_f64(), latencies)
-    };
+                .collect()
+        })
+        .collect();
+    eprintln!("bench-serve: admitting synthetic {synthetic} to both result caches …");
+    for side in &mut conns {
+        request_one(&mut side[0]);
+        request_one(&mut side[0]);
+        // Spans are all the guard sees only if nothing is simulated
+        // while it times, so the key must now be stored.
+        write_frame(&mut side[0], b"{\"kind\": \"metrics\", \"id\": 2}").expect("send");
+        let frame = read_frame(&mut side[0], usize::MAX).expect("recv").expect("metrics frame");
+        let metrics = Json::parse(&String::from_utf8_lossy(&frame)).expect("metrics json");
+        let stored =
+            metrics.get("result_cache").and_then(|c| c.get("entries")).and_then(Json::as_u64);
+        assert_eq!(stored, Some(1), "synthetic {synthetic} did not enter the result cache");
+    }
 
-    // One request up front on each server so every timed level sees a
-    // warm prepared cache and arena pool — the steady state a resident
-    // server serves.
-    eprintln!("bench-serve: warming the prepared caches (synthetic {synthetic}) …");
-    run_one(floor_server.addr(), &request);
-    run_one(obs_server.addr(), &request);
-
-    // Two rounds per level in ABBA order (floor/observed, then
-    // observed/floor) so neither configuration systematically runs on a
-    // warmer or more throttled machine than the other.
-    let (mut floor_requests, mut floor_wall) = (0u64, 0.0f64);
-    let (mut obs_requests, mut obs_wall) = (0u64, 0.0f64);
-    let mut level_stats: Vec<(f64, Vec<f64>)> = vec![(0.0, Vec::new()); LEVELS.len()];
-    for round in 0..2 {
-        for (li, &concurrency) in LEVELS.iter().enumerate() {
-            let per_worker = REQUESTS_PER_LEVEL / concurrency;
-            eprintln!(
-                "bench-serve: round {}/2, {concurrency} clients \u{d7} {per_worker} requests \u{d7} 2 servers …",
-                round + 1
-            );
-            let floor_first = round == 0;
-            for obs_turn in [!floor_first, floor_first] {
-                if obs_turn {
-                    let (wall_secs, latencies) = run_level(obs_server.addr(), concurrency);
-                    obs_requests += latencies.len() as u64;
-                    obs_wall += wall_secs;
-                    level_stats[li].0 += wall_secs;
-                    level_stats[li].1.extend(latencies);
-                } else {
-                    let (wall_secs, _) = run_level(floor_server.addr(), concurrency);
-                    floor_requests += REQUESTS_PER_LEVEL as u64;
-                    floor_wall += wall_secs;
+    eprintln!(
+        "bench-serve: {ROUNDS} rounds of {CLIENTS} clients \u{d7} {REQUESTS_PER_TURN} requests \u{d7} 2 servers …"
+    );
+    let mut wall = [0.0f64; 2];
+    // Per round: the observed server's throughput loss against the
+    // floor, in percent (the two turns ran the same requests).
+    let mut overheads = Vec::with_capacity(ROUNDS);
+    for round in 0..ROUNDS {
+        let mut turn = [0.0f64; 2];
+        let order = if round % 2 == 0 { [0, 1] } else { [1, 0] };
+        for side in order {
+            let started = Instant::now();
+            std::thread::scope(|scope| {
+                for conn in &mut conns[side] {
+                    scope.spawn(|| (0..REQUESTS_PER_TURN).for_each(|_| request_one(conn)));
                 }
-            }
+            });
+            turn[side] = started.elapsed().as_secs_f64();
+            wall[side] += turn[side];
         }
+        overheads.push((1.0 - turn[0] / turn[1].max(1e-9)) * 100.0);
     }
-    let mut entries = String::new();
-    for (li, &concurrency) in LEVELS.iter().enumerate() {
-        let (wall_secs, latencies) = &mut level_stats[li];
-        latencies.sort_by(f64::total_cmp);
-        let pct = |q: f64| {
-            let rank = ((q * latencies.len() as f64).ceil() as usize).max(1);
-            latencies[rank - 1]
-        };
-        let total = latencies.len();
-        let throughput = total as f64 / wall_secs.max(1e-9);
-        let sep = if li + 1 == LEVELS.len() { "" } else { "," };
-        entries.push_str(&format!(
-            "    {{\n      \"concurrency\": {concurrency},\n      \"requests\": {total},\n      \"wall_secs\": {wall_secs:.3},\n      \"throughput_rps\": {throughput:.3},\n      \"p50_ms\": {:.1},\n      \"p95_ms\": {:.1},\n      \"p99_ms\": {:.1}\n    }}{sep}\n",
-            pct(0.50) * 1e3,
-            pct(0.95) * 1e3,
-            pct(0.99) * 1e3,
-        ));
-    }
-    for server in [floor_server, obs_server] {
+    drop(conns);
+    for server in servers {
         server.request_shutdown();
         server.join().expect("clean server shutdown");
     }
 
-    // Overhead over the whole ladder: per-level numbers are too short to
-    // be stable (the top level finishes in a fraction of a second), but
-    // the full 3-level pass is seconds of timed work on both sides.
-    // Positive = spans cost throughput.
-    let floor_rps = floor_requests as f64 / floor_wall.max(1e-9);
-    let observed_rps = obs_requests as f64 / obs_wall.max(1e-9);
-    let overhead_pct = (floor_rps - observed_rps) / floor_rps.max(1e-9) * 100.0;
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"tables --bench-serve --synthetic {synthetic}\",\n  \"threads\": {threads},\n  \"levels\": [\n{entries}  ],\n  \"observability\": {{\n    \"floor_throughput_rps\": {floor_rps:.3},\n    \"observed_throughput_rps\": {observed_rps:.3},\n    \"span_overhead_pct\": {overhead_pct:.2}\n  }}\n}}\n"
+    // The median round: a burst of host noise moves a few rounds, not
+    // the middle one. Positive = spans cost throughput.
+    overheads.sort_by(f64::total_cmp);
+    let overhead_pct = (overheads[ROUNDS / 2 - 1] + overheads[ROUNDS / 2]) / 2.0;
+    let requests = ROUNDS * CLIENTS * REQUESTS_PER_TURN;
+    println!(
+        "span_overhead_pct {overhead_pct:.2} (median of {ROUNDS} rounds; {requests} cached requests per server, floor {:.3} s, observed {:.3} s)",
+        wall[0], wall[1]
     );
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("{json}");
+    assert!(
+        overhead_pct <= MAX_SPAN_OVERHEAD_PCT,
+        "span overhead {overhead_pct:.2}% exceeds the {MAX_SPAN_OVERHEAD_PCT}% bound"
+    );
 }
 
 /// Records the deterministic hotspot kernel under three configurations,
@@ -370,7 +297,6 @@ fn main() {
     let mut synthetic = 240usize;
     let mut threads = default_threads();
     let mut net = NetKind::Ideal;
-    let mut bench_net_mode = false;
     let mut bench_kernel_mode = false;
     let mut bench_serve_mode = false;
     let mut args = std::env::args().skip(1);
@@ -433,7 +359,6 @@ fn main() {
                         },
                     );
             }
-            "--bench-net" => bench_net_mode = true,
             "--bench-kernel" => bench_kernel_mode = true,
             "--bench-serve" => bench_serve_mode = true,
             "--figure" => {
@@ -447,7 +372,7 @@ fn main() {
                 println!(
                     "usage: tables [--table N] [--figure N] [--list-tables] \
                      [--synthetic COUNT] [--threads N] [--net ideal|contended] \
-                     [--bench-net] [--bench-kernel] [--bench-serve] [--trace-out FILE]"
+                     [--bench-kernel] [--bench-serve] [--trace-out FILE]"
                 );
                 return;
             }
@@ -460,10 +385,6 @@ fn main() {
 
     if let Some(path) = trace_out {
         trace_capture(&path);
-        return;
-    }
-    if bench_net_mode {
-        bench_net(synthetic, threads);
         return;
     }
     if bench_kernel_mode {

@@ -13,8 +13,7 @@ use std::fmt::Write as _;
 
 pub mod micro;
 
-use javaflow_analysis::{mesh_heatmap, DynamicMix, NetSummary, StaticMix, Utilization};
-use javaflow_core::{EvalConfig, Evaluation};
+use javaflow_analysis::{DynamicMix, StaticMix, Utilization};
 use javaflow_fabric::FabricConfig;
 use javaflow_interp::Profiler;
 use javaflow_workloads::{full_suite, Benchmark, SuiteKind};
@@ -315,167 +314,6 @@ pub fn list_tables() -> String {
         let _ = writeln!(out, "  {t:>2}  {}", table_title(t));
     }
     out
-}
-
-/// Ideal-vs-contended comparison for one configuration (`--bench-net`).
-#[derive(Debug, Clone)]
-pub struct NetBenchRow {
-    /// Configuration name.
-    pub name: &'static str,
-    /// Mean IPC over returned samples, ideal interconnect.
-    pub ipc_ideal: f64,
-    /// Mean IPC over returned samples, contended interconnect.
-    pub ipc_contended: f64,
-    /// Mean elapsed mesh cycles, ideal.
-    pub cycles_ideal: f64,
-    /// Mean elapsed mesh cycles, contended.
-    pub cycles_contended: f64,
-    /// Aggregated link-level statistics of the contended sweep.
-    pub net: NetSummary,
-}
-
-impl NetBenchRow {
-    /// Relative IPC lost to contention, in percent (positive = slower).
-    #[must_use]
-    pub fn ipc_delta_pct(&self) -> f64 {
-        if self.ipc_ideal == 0.0 {
-            0.0
-        } else {
-            (self.ipc_ideal - self.ipc_contended) / self.ipc_ideal * 100.0
-        }
-    }
-
-    /// Relative cycle growth under contention, in percent.
-    #[must_use]
-    pub fn cycle_delta_pct(&self) -> f64 {
-        if self.cycles_ideal == 0.0 {
-            0.0
-        } else {
-            (self.cycles_contended - self.cycles_ideal) / self.cycles_ideal * 100.0
-        }
-    }
-}
-
-/// Folds two sweeps of the same population — one ideal, one contended —
-/// into per-configuration comparison rows.
-///
-/// # Panics
-///
-/// Panics if the two evaluations ran different configuration lists.
-#[must_use]
-pub fn net_bench_rows(ideal: &Evaluation, contended: &Evaluation) -> Vec<NetBenchRow> {
-    assert_eq!(ideal.configs.len(), contended.configs.len(), "sweeps must match");
-    let mean_of = |eval: &Evaluation, ci: usize| -> (f64, f64) {
-        let mut ipc = 0.0;
-        let mut cycles = 0.0;
-        let mut n = 0usize;
-        for s in &eval.samples {
-            if s.config == ci && s.ok {
-                ipc += s.report.ipc;
-                cycles += s.report.mesh_cycles as f64;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            (0.0, 0.0)
-        } else {
-            (ipc / n as f64, cycles / n as f64)
-        }
-    };
-    ideal
-        .configs
-        .iter()
-        .enumerate()
-        .map(|(ci, fc)| {
-            let (ipc_ideal, cycles_ideal) = mean_of(ideal, ci);
-            let (ipc_contended, cycles_contended) = mean_of(contended, ci);
-            let net = NetSummary::of(
-                contended
-                    .samples
-                    .iter()
-                    .filter(|s| s.config == ci)
-                    .filter_map(|s| s.report.net.as_deref()),
-            );
-            NetBenchRow {
-                name: fc.name,
-                ipc_ideal,
-                ipc_contended,
-                cycles_ideal,
-                cycles_contended,
-                net,
-            }
-        })
-        .collect()
-}
-
-/// The `--bench-net` report: per-configuration ideal-vs-contended deltas,
-/// link/ring statistics, and the hotspot heatmap of the most congested
-/// configuration.
-#[must_use]
-pub fn net_report(rows: &[NetBenchRow], configs: &[FabricConfig]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Interconnect contention report (ideal vs contended)");
-    let _ = writeln!(
-        out,
-        "{:<11} {:>9} {:>9} {:>7} {:>11} {:>11} {:>7} | {:>9} {:>6} {:>6} {:>9} {:>9}",
-        "Config",
-        "IPC-ideal",
-        "IPC-cont",
-        "ΔIPC%",
-        "Cyc-ideal",
-        "Cyc-cont",
-        "ΔCyc%",
-        "stall/hop",
-        "maxQ",
-        "meanQ",
-        "mem-wait",
-        "gpp-wait"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<11} {:>9.3} {:>9.3} {:>7.1} {:>11.1} {:>11.1} {:>7.1} | {:>9.3} {:>6} {:>6.2} {:>9} {:>9}",
-            r.name,
-            r.ipc_ideal,
-            r.ipc_contended,
-            r.ipc_delta_pct(),
-            r.cycles_ideal,
-            r.cycles_contended,
-            r.cycle_delta_pct(),
-            r.net.stall_per_hop(),
-            r.net.max_queue_depth,
-            r.net.mean_queue_depth,
-            r.net.memory_ring.1,
-            r.net.gpp_ring.1,
-        );
-    }
-    // Heatmap of the configuration with the worst per-hop stall.
-    if let Some((ci, worst)) = rows
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.net.mesh_hops > 0)
-        .max_by(|(_, a), (_, b)| a.net.stall_per_hop().total_cmp(&b.net.stall_per_hop()))
-    {
-        let width = configs.get(ci).map_or(10, |c| c.width);
-        let _ = writeln!(out, "\nhotspots — {} (worst stall/hop):", worst.name);
-        out.push_str(&mesh_heatmap(&worst.net, width));
-        for (x, y, flits, stall) in worst.net.hotspots(5) {
-            let _ = writeln!(out, "  ({x},{y}): {flits} flits, {stall} stall ticks");
-        }
-    }
-    out
-}
-
-/// Builds the default evaluation used by the `tables` binary.
-#[must_use]
-pub fn default_evaluation(synthetic_count: usize) -> Evaluation {
-    Evaluation::run(&EvalConfig { synthetic_count, ..EvalConfig::default() })
-}
-
-/// The Table 15 configuration list.
-#[must_use]
-pub fn default_configs() -> Vec<FabricConfig> {
-    FabricConfig::all_six()
 }
 
 /// ASCII renderings of the dissertation's figures that have a structural

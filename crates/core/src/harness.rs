@@ -300,15 +300,18 @@ impl Evaluation {
     }
 
     /// Folds every sample of the sweep into one instrumentation registry
-    /// (Table 30 and the `"metrics"` block of the `BENCH_*.json`
-    /// artifacts). Per-class execution-tick totals are derived with each
-    /// sample's own configuration timing.
+    /// (Table 30 and the `"metrics"` block of `BENCH_kernel.json`).
+    /// Per-class execution-tick totals are derived with each sample's
+    /// own configuration timing; events are counted as the kernel popped
+    /// them, without the ones a BP-2 run inherited.
     #[must_use]
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         for s in &self.samples {
             reg.observe_report(&s.report, self.configs[s.config].class_ticks());
-            reg.add("events_popped", s.report.events - s.events_inherited);
+            let popped = s.report.events - s.events_inherited;
+            reg.add("events_popped", popped);
+            reg.observe("events_per_run", popped);
             reg.add("events_inherited", s.events_inherited);
         }
         reg

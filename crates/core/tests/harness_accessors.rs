@@ -105,4 +105,6 @@ fn popped_and_inherited_events_add_up_to_report_events() {
     let inherited = m.counter("events_inherited");
     assert!(inherited > 0, "some BP-2 run resumes from its BP-1 twin");
     assert_eq!(m.counter("events_popped") + inherited, events);
+    let per_run = m.histogram("events_per_run").expect("events_per_run histogram");
+    assert_eq!(per_run.sum, m.counter("events_popped"), "one event total per sweep");
 }

@@ -4,7 +4,7 @@
 //! [`ExecReport`] carries per-run numbers; the registry folds a whole
 //! sweep of them into one place ([`MetricsRegistry::observe_report`]),
 //! merges across threads ([`MetricsRegistry::merge`]), and serializes
-//! into the `BENCH_*.json` artifacts ([`MetricsRegistry::to_json`]) and
+//! into `BENCH_kernel.json` ([`MetricsRegistry::to_json`]) and
 //! the "Table 30 — Instrumentation Summary" text
 //! ([`MetricsRegistry::render`]). Names are `&'static str` so the
 //! registry itself never allocates per observation — only per distinct
@@ -234,8 +234,9 @@ impl MetricsRegistry {
     /// is the configuration's per-timing-class execution latency (from
     /// `FabricConfig::class_ticks`), used to histogram the execution
     /// ticks each class consumed.
-    /// The caller counts `events_popped`: a BP-2 report's `events` also
-    /// holds the events it inherited from its BP-1 twin.
+    /// The caller counts `events_popped` and observes `events_per_run`:
+    /// a BP-2 report's `events` also holds the events it inherited from
+    /// its BP-1 twin, which the kernel never popped.
     pub fn observe_report(&mut self, r: &ExecReport, class_ticks: [u64; 4]) {
         self.add("runs", 1);
         let outcome = match r.outcome {
@@ -252,7 +253,6 @@ impl MetricsRegistry {
         self.add("mesh_cycles", r.mesh_cycles);
         self.add("wheel_pushes", r.wheel_pushes);
         self.observe_max("wheel_high_water", r.wheel_high_water);
-        self.observe("events_per_run", r.events);
         self.observe("executed_per_run", r.executed);
         for (k, (fires, ticks)) in CLASS_NAMES.iter().enumerate() {
             self.add(fires, r.class_fires[k]);
@@ -272,7 +272,7 @@ impl MetricsRegistry {
     }
 
     /// Serializes the registry as one JSON object (counters, maxima,
-    /// histogram summaries), for embedding in the `BENCH_*.json` files.
+    /// histogram summaries), for embedding in `BENCH_kernel.json`.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");

@@ -37,8 +37,7 @@
 //! queue depths, and surfaces them as a [`NetReport`] attached to the run's
 //! `ExecReport` ([`IdealNet`] attaches nothing). `javaflow-analysis`
 //! aggregates reports into a `NetSummary` and renders the mesh hotspot
-//! heatmap; `tables --bench-net` writes the ideal-vs-contended comparison
-//! to `BENCH_net.json`.
+//! heatmap; `tables --net contended --table 29` prints both.
 
 use crate::trace::{TraceEvent, TraceKind, TraceSink};
 use crate::FabricConfig;

@@ -50,12 +50,15 @@ OPTIONS:
     --queue-cap <n>        admission-queue capacity (default 32)
     --batch-records <n>    records per streamed batch (default 16)
     --threads <n>          default sweep threads (default: machine parallelism)
-    --synthetic-cap <n>    largest accepted synthetic population (default 5000)
     --log-json             one structured JSON log line per request on stderr
-    --flight-cap <n>       flight-recorder ring capacity (default 1024)
     --flight-dump <path>   Chrome-trace dump target for SIGUSR1, and for
                            automatic dumps on request failure
     --help                 print this help
+
+LIMITS:
+    A sweep asking for more than 5000 synthetic records is refused (400).
+    The server keeps the 4 most recently used prepared populations and
+    the last 1024 request spans in its flight recorder.
 
 SIGNALS:
     SIGINT/SIGTERM drain and exit; SIGUSR1 dumps the flight recorder to
@@ -100,20 +103,7 @@ fn parse_args() -> Result<ServerConfig, String> {
                     return Err("--threads must be at least 1".to_string());
                 }
             }
-            "--synthetic-cap" => {
-                cfg.synthetic_cap = value("--synthetic-cap")?
-                    .parse()
-                    .map_err(|_| "--synthetic-cap must be an integer".to_string())?;
-            }
             "--log-json" => cfg.log_json = true,
-            "--flight-cap" => {
-                cfg.flight_capacity = value("--flight-cap")?
-                    .parse()
-                    .map_err(|_| "--flight-cap must be an integer".to_string())?;
-                if cfg.flight_capacity == 0 {
-                    return Err("--flight-cap must be at least 1".to_string());
-                }
-            }
             "--flight-dump" => cfg.flight_dump_on_error = Some(value("--flight-dump")?.into()),
             other => return Err(format!("unknown flag `{other}` (try --help)")),
         }

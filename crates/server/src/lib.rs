@@ -3,8 +3,8 @@
 //! [`javaflow_core::Evaluation::run`] is a batch tool — every invocation
 //! rebuilds and re-prepares the whole population before simulating a
 //! single record. This crate keeps that work resident: a
-//! [`Server`] owns a cache of prepared populations (keyed by synthetic
-//! size) and the process-wide warm arena pool, and answers sweep
+//! [`Server`] owns a small LRU cache of prepared populations (keyed by
+//! synthetic size) and the process-wide warm arena pool, and answers sweep
 //! requests over TCP or a Unix socket using the
 //! [`javaflow_core::PreparedPopulation`] fast path — byte-identical
 //! results to an in-process run, without the per-request startup cost.

@@ -7,9 +7,9 @@
 //! buffered); responses carry no bound, a sweep's tables can be large.
 //!
 //! The response builders here are the *only* producers of sample/report
-//! JSON on the wire, and they delegate to `analysis::report_json` — the
-//! same serializers the `BENCH_*.json` artifacts use — so a served
-//! response is byte-identical to the equivalent in-process rendering.
+//! JSON on the wire, and they delegate to `analysis::report_json`, so a
+//! served response is byte-identical to the equivalent in-process
+//! rendering.
 //! `load_gen` exercises exactly that equivalence via
 //! [`expected_batch_payloads`].
 

@@ -19,7 +19,7 @@
 //! HTTP sidecar listener ([`ServerConfig::metrics_addr`]) exposes
 //! `/metrics` (Prometheus text), `/healthz`, and `/varz`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -69,22 +69,17 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Largest accepted request frame, bytes.
     pub max_frame: usize,
-    /// Largest accepted `synthetic` population size; guards the prepared
-    /// cache against absurd requests.
-    pub synthetic_cap: usize,
     /// Emit one structured JSON log line per finished request on stderr.
     pub log_json: bool,
-    /// Flight-recorder ring capacity (entries). The ring is preallocated
-    /// at startup and recording never allocates.
-    pub flight_capacity: usize,
     /// Dump the flight recorder to this Chrome-trace file whenever a
     /// request fails (`4xx`/`5xx`/client-gone), throttled to once per
     /// second. `None` disables failure dumps; SIGUSR1 dumps are driven by
     /// the binary regardless.
     pub flight_dump_on_error: Option<PathBuf>,
     /// Master switch for span accounting, the flight recorder, and log
-    /// lines. On by default; `--bench-serve` turns it off to measure the
-    /// untraced floor of the span-overhead guard (CI bounds it at 10%).
+    /// lines. On by default; `tables --bench-serve` turns it off to
+    /// measure the untraced floor of the span-overhead guard, which fails
+    /// above 10%.
     pub observability: bool,
 }
 
@@ -98,14 +93,22 @@ impl Default for ServerConfig {
             batch_records: 16,
             threads: EvalConfig::default().threads,
             max_frame: MAX_REQUEST_FRAME,
-            synthetic_cap: 5000,
             log_json: false,
-            flight_capacity: 1024,
             flight_dump_on_error: None,
             observability: true,
         }
     }
 }
+
+/// Largest accepted `synthetic` population size; a larger request is a
+/// `400`.
+const SYNTHETIC_CAP: usize = 5000;
+/// Flight-recorder ring capacity (entries). The ring is preallocated at
+/// startup and recording never allocates.
+const FLIGHT_CAPACITY: usize = 1024;
+/// Most prepared populations the server keeps, least recently used
+/// evicted first. One synthetic-1000 population holds about 11 MB.
+const PREPARED_POPULATIONS: usize = 4;
 
 /// The coalescing key: two queued sweeps with equal keys produce
 /// byte-identical batch payloads, so they share one sweep. `threads` is
@@ -268,8 +271,9 @@ pub(crate) struct Shared {
     /// µs-since-epoch of the last failure-triggered flight dump, for the
     /// once-per-second throttle.
     last_error_dump_us: AtomicU64,
-    /// Prepared populations keyed by synthetic size.
-    prepared: Mutex<HashMap<usize, Arc<PreparedPopulation>>>,
+    /// Prepared populations keyed by synthetic size, least recently
+    /// used first; at most [`PREPARED_POPULATIONS`].
+    prepared: Mutex<VecDeque<(usize, Arc<PreparedPopulation>)>>,
     /// Finished sweeps kept for repeat keys.
     results: Mutex<ResultCache<SweepKey>>,
     /// Live connections, shut down at the end of a drain to unblock
@@ -412,7 +416,6 @@ impl Server {
             None => None,
         };
         let defaults = EvalConfig { threads: cfg.threads, ..EvalConfig::default() };
-        let flight_capacity = cfg.flight_capacity;
         let shared = Arc::new(Shared {
             cfg,
             defaults,
@@ -422,10 +425,10 @@ impl Server {
             drained: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
             metrics: Mutex::new(ServerMetrics::default()),
-            flight: Mutex::new(FlightRecorder::new(flight_capacity)),
+            flight: Mutex::new(FlightRecorder::new(FLIGHT_CAPACITY)),
             epoch: Instant::now(),
             last_error_dump_us: AtomicU64::new(0),
-            prepared: Mutex::new(HashMap::new()),
+            prepared: Mutex::new(VecDeque::with_capacity(PREPARED_POPULATIONS)),
             results: Mutex::new(ResultCache::new(MAX_ENTRIES, MAX_SAMPLES)),
             conns: Mutex::new(Vec::new()),
             readers: Mutex::new(Vec::new()),
@@ -655,10 +658,10 @@ fn handle_request(
 /// Admission control: validate against server limits, refuse when
 /// draining (`503`) or saturated (`429`), otherwise enqueue and ack.
 fn admit(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, req: SweepRequest, mut span: RequestSpan) {
-    if req.synthetic > shared.cfg.synthetic_cap {
+    if req.synthetic > SYNTHETIC_CAP {
         shared.metrics.lock().expect("metrics lock").bad_requests += 1;
         span.outcome = 400;
-        let message = format!("`synthetic` exceeds the server cap of {}", shared.cfg.synthetic_cap);
+        let message = format!("`synthetic` exceeds the server cap of {SYNTHETIC_CAP}");
         respond(shared, writer, &span, &error_frame(req.id, 400, &message));
         return;
     }
@@ -881,12 +884,7 @@ fn sweep(
 ) -> Option<Arc<Evaluation>> {
     shared.metrics.lock().expect("metrics lock").sweeps += 1;
     let prepare_started = Instant::now();
-    let pop = {
-        let mut cache = shared.prepared.lock().expect("prepared lock");
-        Arc::clone(cache.entry(key.synthetic).or_insert_with(|| {
-            Arc::new(PreparedPopulation::prepare(key.synthetic, shared.cfg.threads))
-        }))
-    };
+    let pop = prepared_population(shared, key.synthetic);
     let prepare_dur = prepare_started.elapsed();
     for sub in subs.iter_mut() {
         sub.job.span.add_phase(PHASE_PREPARE, prepare_dur);
@@ -933,6 +931,25 @@ fn sweep(
     let took = started.elapsed().saturating_sub(gave_way);
     shared.results.lock().expect("results lock").offer_timed(key.clone(), &eval, took);
     Some(eval)
+}
+
+/// The prepared population of size `synthetic`, from the cache (it
+/// becomes the most recently used) or prepared now, evicting the least
+/// recently used one when the cache is full.
+fn prepared_population(shared: &Shared, synthetic: usize) -> Arc<PreparedPopulation> {
+    let mut cache = shared.prepared.lock().expect("prepared lock");
+    let entry = match cache.iter().position(|(n, _)| *n == synthetic) {
+        Some(i) => cache.remove(i).expect("position is in range"),
+        None => {
+            if cache.len() == PREPARED_POPULATIONS {
+                cache.pop_front();
+            }
+            (synthetic, Arc::new(PreparedPopulation::prepare(synthetic, shared.cfg.threads)))
+        }
+    };
+    let pop = Arc::clone(&entry.1);
+    cache.push_back(entry);
+    pop
 }
 
 /// Fans one batch's records payload out to every live subscriber,
@@ -1049,6 +1066,35 @@ mod tests {
         wait_until("the last connection is accepted", || conns() == 1);
         let readers = shared.readers.lock().unwrap().len();
         assert!(readers <= 1, "{readers} reader handles kept for one live connection");
+        server.request_shutdown();
+        server.join().expect("join");
+    }
+
+    #[test]
+    fn the_prepared_cache_keeps_only_the_most_recent_populations() {
+        use crate::protocol::{read_frame, write_frame};
+
+        let server =
+            Server::start(ServerConfig { threads: 1, ..ServerConfig::default() }).expect("start");
+        let shared = Arc::clone(&server.shared);
+        let mut conn = TcpStream::connect(server.addr()).expect("connect");
+        for synthetic in 0..=PREPARED_POPULATIONS {
+            let request = format!(
+                "{{\"kind\": \"sweep\", \"id\": 1, \"synthetic\": {synthetic}, \"max_mesh_cycles\": 500}}"
+            );
+            write_frame(&mut conn, request.as_bytes()).expect("send");
+            loop {
+                let frame = read_frame(&mut conn, usize::MAX).expect("recv").expect("frame");
+                assert!(!frame.starts_with(b"{\"type\": \"error\""), "sweep {synthetic} failed");
+                if frame.starts_with(b"{\"type\": \"done\"") {
+                    break;
+                }
+            }
+            let sizes: Vec<usize> =
+                shared.prepared.lock().unwrap().iter().map(|(n, _)| *n).collect();
+            assert!(sizes.len() <= PREPARED_POPULATIONS, "kept {sizes:?}");
+            assert!(sizes.contains(&synthetic), "the population just swept is kept");
+        }
         server.request_shutdown();
         server.join().expect("join");
     }

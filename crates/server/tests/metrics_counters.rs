@@ -161,3 +161,21 @@ fn oversized_frames_finish_a_413_span() {
     server.request_shutdown();
     server.join().expect("join");
 }
+
+#[test]
+fn an_oversized_population_is_a_400_naming_the_cap() {
+    let server = Server::start(ServerConfig::default()).expect("start");
+    let mut conn = connect(&server);
+    send(&mut conn, "{\"kind\": \"sweep\", \"id\": 7, \"synthetic\": 5001}");
+    let frame = recv(&mut conn);
+    assert!(frame.contains("\"code\": 400") && frame.contains("cap of 5000"), "{frame}");
+
+    send(&mut conn, "{\"kind\": \"metrics\", \"id\": 8}");
+    let metrics = Json::parse(&recv(&mut conn)).expect("metrics json");
+    let server_half = metrics.get("server").expect("server block");
+    assert_eq!(counter(server_half, "bad_requests"), 1);
+    assert_eq!(counter(server_half, "accepted"), 0);
+
+    server.request_shutdown();
+    server.join().expect("join");
+}
