@@ -2,7 +2,7 @@
 //!
 //! The `javaflow-serve` wire protocol serializes [`ExecReport`]s through
 //! here, and so does every in-process rendering of the same frames
-//! (`load_gen`'s and perfbench's expected payloads), so a response
+//! (the server tests' and perfbench's expected payloads), so a response
 //! streamed by the server is byte-identical to the same report
 //! serialized in-process.
 //!

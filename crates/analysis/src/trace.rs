@@ -171,8 +171,8 @@ pub fn replay(events: &[TraceEvent]) -> Result<Replay, String> {
     })
 }
 
-/// Splits a multi-run recording (e.g. from
-/// `FabricManager::run_all_scripted_traced`) at its `End` markers.
+/// Splits a multi-run recording (several runs traced into one sink back
+/// to back) at its `End` markers.
 #[must_use]
 pub fn split_runs(events: &[TraceEvent]) -> Vec<&[TraceEvent]> {
     let mut runs = Vec::new();

@@ -358,12 +358,6 @@ impl Program {
         }
         Ok(())
     }
-
-    /// Total static instruction count across all methods.
-    #[must_use]
-    pub fn total_instructions(&self) -> usize {
-        self.methods.iter().map(Method::len).sum()
-    }
 }
 
 /// Convenience for building a single-method program (tests, examples).

@@ -32,12 +32,6 @@ pub struct DfEdge {
 }
 
 impl DfEdge {
-    /// The linear arc length `|consumer − producer|` (Table 10).
-    #[must_use]
-    pub fn arc_len(&self) -> u32 {
-        self.consumer.abs_diff(self.producer)
-    }
-
     /// Whether the producer sits *below* the consumer in linear order — a
     /// back merge, which valid javac output never creates.
     #[must_use]

@@ -78,11 +78,6 @@ impl<'p> Machine<'p> {
         &self.config
     }
 
-    /// The controlling GPP (for heap setup/inspection).
-    pub fn gpp_mut(&mut self) -> &mut Interp<'p> {
-        &mut self.gpp
-    }
-
     /// Read access to the GPP.
     #[must_use]
     pub fn gpp(&self) -> &Interp<'p> {

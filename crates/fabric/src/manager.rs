@@ -22,9 +22,8 @@ use std::sync::Arc;
 use javaflow_bytecode::Method;
 
 use crate::{
-    execute, execute_with_sink, resolve, trace::TraceSink, BranchMode, DataflowGraph,
-    DecodedMethod, ExecParams, ExecReport, FabricConfig, LoadedMethod, Outcome, PlaceError,
-    Placement, ResolveError, SimArena,
+    execute, resolve, BranchMode, DataflowGraph, DecodedMethod, ExecParams, ExecReport,
+    FabricConfig, LoadedMethod, Outcome, PlaceError, Placement, ResolveError,
 };
 
 /// Handle to a deployed method.
@@ -264,43 +263,6 @@ impl FabricManager {
         let mut reports = Vec::with_capacity(loaded.len());
         for (_, lm) in loaded {
             let report = execute(lm, &self.config, ExecParams { mode, ..ExecParams::default() });
-            reports.push(report);
-        }
-        for (a, _) in loaded {
-            self.end_run(*a)?;
-        }
-        let system_ipc = reports
-            .iter()
-            .filter(|r| matches!(r.outcome, Outcome::Returned(_)))
-            .map(|r| r.ipc)
-            .sum();
-        Ok((reports, system_ipc))
-    }
-
-    /// [`run_all_scripted`](Self::run_all_scripted), but with every run
-    /// recorded into `sink` back to back. One arena is reused across the
-    /// resident methods, so a recorded multi-method trace concatenates the
-    /// per-method event streams in deployment order (each delimited by its
-    /// `End` event).
-    pub fn run_all_scripted_traced<S: TraceSink>(
-        &mut self,
-        loaded: &[(AnchorId, &LoadedMethod<'_>)],
-        mode: BranchMode,
-        sink: &mut S,
-    ) -> Result<(Vec<ExecReport>, f64), ManageError> {
-        for (a, _) in loaded {
-            self.begin_run(*a)?;
-        }
-        let mut arena = SimArena::default();
-        let mut reports = Vec::with_capacity(loaded.len());
-        for (_, lm) in loaded {
-            let report = execute_with_sink(
-                lm,
-                &self.config,
-                ExecParams { mode, ..ExecParams::default() },
-                &mut arena,
-                sink,
-            );
             reports.push(report);
         }
         for (a, _) in loaded {

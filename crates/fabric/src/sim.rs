@@ -718,19 +718,20 @@ impl SimArena {
 /// Retention is capped: a long-lived process that absorbs a burst of wide
 /// concurrent sweeps would otherwise park one fully-grown arena per peak
 /// worker forever. [`ArenaPool::checkin`] drops arenas above the
-/// high-water mark ([`ArenaPool::set_retain_cap`]) instead of retaining
-/// them, so peak memory decays back to the steady-state working set.
+/// high-water mark ([`ArenaPool::default_retain_cap`], fixed when the pool
+/// is built) instead of retaining them, so peak memory decays back to the
+/// steady-state working set.
 #[derive(Debug)]
 pub struct ArenaPool {
     free: std::sync::Mutex<Vec<SimArena>>,
-    retain_cap: std::sync::atomic::AtomicUsize,
+    retain_cap: usize,
 }
 
 impl Default for ArenaPool {
     fn default() -> ArenaPool {
         ArenaPool {
             free: std::sync::Mutex::new(Vec::new()),
-            retain_cap: std::sync::atomic::AtomicUsize::new(ArenaPool::default_retain_cap()),
+            retain_cap: ArenaPool::default_retain_cap(),
         }
     }
 }
@@ -772,27 +773,11 @@ impl ArenaPool {
     /// parked, so a burst of wide concurrency cannot pin peak memory for
     /// the life of the process.
     pub fn checkin(&self, arena: SimArena) {
-        let cap = self.retain_cap.load(std::sync::atomic::Ordering::Relaxed);
         if let Ok(mut v) = self.free.lock() {
-            if v.len() < cap {
+            if v.len() < self.retain_cap {
                 v.push(arena);
             }
         }
-    }
-
-    /// Sets the retention high-water mark and drops any arenas already
-    /// parked above it.
-    pub fn set_retain_cap(&self, cap: usize) {
-        self.retain_cap.store(cap, std::sync::atomic::Ordering::Relaxed);
-        if let Ok(mut v) = self.free.lock() {
-            v.truncate(cap);
-        }
-    }
-
-    /// The current retention high-water mark.
-    #[must_use]
-    pub fn retain_cap(&self) -> usize {
-        self.retain_cap.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// How many warm arenas are currently parked in the pool.

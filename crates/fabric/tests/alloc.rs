@@ -240,29 +240,23 @@ fn pool_checkin_drops_arenas_above_the_retain_cap() {
     // high-water mark drop the arena (freeing its slabs) instead of
     // parking it.
     let pool = ArenaPool::new();
-    pool.set_retain_cap(3);
-    assert_eq!(pool.retain_cap(), 3);
-    let burst: Vec<SimArena> = (0..16).map(|_| pool.checkout()).collect();
+    let cap = ArenaPool::default_retain_cap();
+    let burst: Vec<SimArena> = (0..cap + 2).map(|_| pool.checkout()).collect();
     assert_eq!(pool.warm_len(), 0);
     for arena in burst {
         pool.checkin(arena);
     }
-    assert_eq!(pool.warm_len(), 3, "checkin must cap retention at the high-water mark");
+    assert_eq!(pool.warm_len(), cap, "checkin must cap retention at the high-water mark");
 
-    // Lowering the cap sheds already-parked arenas too.
-    pool.set_retain_cap(1);
-    assert_eq!(pool.warm_len(), 1);
-
-    // The cap bounds retention, not service: checkout still always
-    // yields an arena, dry pool or not.
+    // Checkout hands out parked arenas first; checking them back in
+    // refills the pool to the cap, no further.
     let a = pool.checkout();
     let b = pool.checkout();
-    assert_eq!(pool.warm_len(), 0);
+    assert_eq!(pool.warm_len(), cap - 2);
     pool.checkin(a);
     pool.checkin(b);
-    assert_eq!(pool.warm_len(), 1);
+    assert_eq!(pool.warm_len(), cap);
 
     // The default cap scales with the machine but never collapses.
-    assert!(ArenaPool::default_retain_cap() >= 4);
-    assert_eq!(ArenaPool::new().retain_cap(), ArenaPool::default_retain_cap());
+    assert!(cap >= 4);
 }

@@ -10,8 +10,8 @@
 //! JSON on the wire, and they delegate to `analysis::report_json`, so a
 //! served response is byte-identical to the equivalent in-process
 //! rendering.
-//! `load_gen` exercises exactly that equivalence via
-//! [`expected_batch_payloads`].
+//! The server tests (`tests/binary.rs` against the real binary) exercise
+//! exactly that equivalence via [`expected_batch_payloads`].
 
 use std::io::{IoSlice, Read, Write};
 
@@ -300,7 +300,7 @@ pub fn parse_request(payload: &[u8], defaults: &EvalConfig) -> Result<Request, R
 
 /// Renders the `"records"` array of one batch frame from per-record sweep
 /// results. Shared verbatim between the server's sweeper and the
-/// expectation side of `load_gen` — byte-identity is this function being
+/// expectation side of the server tests and perfbench — byte-identity is this function being
 /// the only implementation.
 pub fn batch_records_json<'a>(
     entries: impl Iterator<Item = (usize, &'a str, &'a [Sample])>,

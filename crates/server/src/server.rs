@@ -67,8 +67,6 @@ pub struct ServerConfig {
     pub batch_records: usize,
     /// Default sweep threads when a request does not ask for a count.
     pub threads: usize,
-    /// Largest accepted request frame, bytes.
-    pub max_frame: usize,
     /// Emit one structured JSON log line per finished request on stderr.
     pub log_json: bool,
     /// Dump the flight recorder to this Chrome-trace file whenever a
@@ -92,7 +90,6 @@ impl Default for ServerConfig {
             queue_cap: 32,
             batch_records: 16,
             threads: EvalConfig::default().threads,
-            max_frame: MAX_REQUEST_FRAME,
             log_json: false,
             flight_dump_on_error: None,
             observability: true,
@@ -567,7 +564,7 @@ fn accept_loop(shared: &Arc<Shared>, mut accept: impl FnMut() -> std::io::Result
 /// violation that closes it.
 fn reader_loop(shared: &Arc<Shared>, reader: &mut AnyStream, writer: &Arc<ConnWriter>) {
     loop {
-        match read_frame_timed(reader, shared.cfg.max_frame) {
+        match read_frame_timed(reader, MAX_REQUEST_FRAME) {
             Ok(None) => break,
             Ok(Some((payload, read_dur))) => {
                 let mut span = RequestSpan {
@@ -587,7 +584,7 @@ fn reader_loop(shared: &Arc<Shared>, reader: &mut AnyStream, writer: &Arc<ConnWr
                     ..RequestSpan::default()
                 };
                 let message =
-                    format!("frame of {n} bytes exceeds the {} byte limit", shared.cfg.max_frame);
+                    format!("frame of {n} bytes exceeds the {MAX_REQUEST_FRAME} byte limit");
                 respond(shared, writer, &span, &error_frame(0, 413, &message));
                 break;
             }

@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use javaflow_server::json::Json;
-use javaflow_server::protocol::{read_frame, write_frame};
+use javaflow_server::protocol::{read_frame, write_frame, MAX_REQUEST_FRAME};
 use javaflow_server::{Server, ServerConfig};
 
 fn connect(server: &Server) -> TcpStream {
@@ -141,10 +141,10 @@ fn every_outcome_increments_its_counter_exactly_once() {
 
 #[test]
 fn oversized_frames_finish_a_413_span() {
-    let server =
-        Server::start(ServerConfig { max_frame: 128, ..ServerConfig::default() }).expect("start");
+    let server = Server::start(ServerConfig::default()).expect("start");
     let mut conn = connect(&server);
-    conn.write_all(&4096u32.to_be_bytes()).unwrap();
+    let oversized = u32::try_from(MAX_REQUEST_FRAME + 1).unwrap();
+    conn.write_all(&oversized.to_be_bytes()).unwrap();
     conn.write_all(&[b'x'; 64]).unwrap();
     let frame = recv(&mut conn);
     assert!(frame.contains("\"code\": 413"), "{frame}");

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use javaflow_core::{EvalConfig, Evaluation};
 use javaflow_server::protocol::{
-    batch_frame, done_frame, expected_batch_payloads, read_frame, write_frame,
+    batch_frame, done_frame, expected_batch_payloads, read_frame, write_frame, MAX_REQUEST_FRAME,
 };
 use javaflow_server::{Server, ServerConfig};
 
@@ -85,13 +85,12 @@ fn malformed_requests_get_400_and_the_connection_survives() {
 
 #[test]
 fn oversized_frames_get_413_then_the_connection_closes() {
-    let server =
-        Server::start(ServerConfig { max_frame: 256, ..ServerConfig::default() }).expect("start");
+    let server = Server::start(ServerConfig::default()).expect("start");
     let mut conn = connect(&server);
-    send(
-        &mut conn,
-        &format!("{{\"kind\": \"ping\", \"id\": 1, \"pad\": \"{}\"}}", "x".repeat(500)),
-    );
+    // The cap is checked on the length prefix, before any payload is read.
+    let oversized = u32::try_from(MAX_REQUEST_FRAME + 1).unwrap();
+    conn.write_all(&oversized.to_be_bytes()).unwrap();
+    conn.write_all(b"{\"kind\": \"ping\"").unwrap();
     let frame = recv(&mut conn).expect("413 frame");
     assert!(frame.contains("\"code\": 413"), "{frame}");
     assert!(recv(&mut conn).is_none(), "connection must close after a 413");

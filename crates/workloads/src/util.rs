@@ -61,14 +61,6 @@ pub fn countdown(b: &mut MethodBuilder, counter: u16, body: impl FnOnce(&mut Met
     b.bind(exit);
 }
 
-/// Emits `if (<top-of-stack int> != 0) { then }` (condition consumed).
-pub fn if_nonzero(b: &mut MethodBuilder, then: impl FnOnce(&mut MethodBuilder)) {
-    let skip = b.new_label();
-    b.branch(Opcode::IfEq, skip);
-    then(b);
-    b.bind(skip);
-}
-
 /// Emits `|double|` of the double on top of the stack.
 pub fn dabs(b: &mut MethodBuilder) {
     b.op(Opcode::Dup);
